@@ -28,32 +28,39 @@ from liesym.fields import commutator_table
 OUT = pathlib.Path(__file__).resolve().parents[1] / "out" / "tables"
 
 
+def render(n, regime):
+    """The texts of every out/tables file for one (n, regime), by file name."""
+    eq = HeatEquation(n, regime)
+    stem = f"n{n}_{regime}"
+    table = commutator_table([g.field for g in generators(eq)])
+    audit = [
+        {"i": r.i, "j": r.j, "printed": r.printed,
+         "computed": r.computed, "verdict": r.verdict}
+        for r in bracket_table_audit(eq)
+    ]
+    conserved = [conserved_vector(g, eq) for g in generators(eq)]
+    return {
+        f"catalog_{stem}.json": json.dumps(catalog_json_obj(eq), indent=2, sort_keys=True),
+        f"catalog_{stem}.tex": catalog_latex(eq),
+        f"brackets_{stem}.json": json.dumps(
+            {"table": table.to_json_obj(), "audit": audit}, indent=2, sort_keys=True),
+        f"brackets_{stem}.tex": table.to_latex(),
+        f"conserved_{stem}.json": json.dumps(
+            [conserved_vector_json_obj(cv) for cv in conserved], indent=2, sort_keys=True),
+        f"conserved_{stem}.tex": "\n\n".join(conserved_vector_latex(cv) for cv in conserved),
+    }
+
+
 def main():
     OUT.mkdir(parents=True, exist_ok=True)
     for n in (1, 2, 3, 4):
         for regime in (INTEGER, FRACTIONAL):
-            eq = HeatEquation(n, regime)
+            files = render(n, regime)
+            for name, text in files.items():
+                (OUT / name).write_text(text)
             stem = f"n{n}_{regime}"
-            (OUT / f"catalog_{stem}.json").write_text(
-                json.dumps(catalog_json_obj(eq), indent=2, sort_keys=True))
-            (OUT / f"catalog_{stem}.tex").write_text(catalog_latex(eq))
-            table = commutator_table([g.field for g in generators(eq)])
-            audit = [
-                {"i": r.i, "j": r.j, "printed": r.printed,
-                 "computed": r.computed, "verdict": r.verdict}
-                for r in bracket_table_audit(eq)
-            ]
-            (OUT / f"brackets_{stem}.json").write_text(json.dumps(
-                {"table": table.to_json_obj(), "audit": audit},
-                indent=2, sort_keys=True))
-            (OUT / f"brackets_{stem}.tex").write_text(table.to_latex())
-            conserved = [conserved_vector_json_obj(conserved_vector(g, eq))
-                         for g in generators(eq)]
-            (OUT / f"conserved_{stem}.json").write_text(
-                json.dumps(conserved, indent=2, sort_keys=True))
-            (OUT / f"conserved_{stem}.tex").write_text("\n\n".join(
-                conserved_vector_latex(conserved_vector(g, eq))
-                for g in generators(eq)))
+            conserved = json.loads(files[f"conserved_{stem}.json"])
+            audit = json.loads(files[f"brackets_{stem}.json"])["audit"]
             print(f"wrote {stem}: {len(conserved)} conserved vectors, "
                   f"{sum(1 for a in audit if a['verdict'] != 'match')} print discrepancies")
     print(f"all tables under {OUT}")

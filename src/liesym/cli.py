@@ -48,6 +48,9 @@ from .reference_tables import ALLOWED_BRACKET_DISCREPANCIES
 __all__ = ["main", "RunConfig"]
 
 
+_VERIFY_HORIZON = 1.0  # time horizon T of the numeric invariance checks in verify
+
+
 @dataclass
 class RunConfig:
     """Settings shared by the subcommands."""
@@ -64,12 +67,16 @@ class RunConfig:
     tcut: float | None = None
 
     def __post_init__(self):
+        if not self.ns:
+            raise ValueError("dimension range is empty")
         if any(n < 1 for n in self.ns):
             raise ValueError("dimension must be >= 1")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
         if self.grid < 16:
             raise ValueError("grid must have at least 16 points")
+        if self.tcut is not None and not (0.0 < self.tcut < _VERIFY_HORIZON):
+            raise ValueError(f"tcut must lie in (0, {_VERIFY_HORIZON})")
 
 
 def _parse_range(text: str) -> tuple[int, ...]:
@@ -345,7 +352,7 @@ def _verify_report(cfg: RunConfig) -> dict:
                         tr = exponentiate_catalog(g, 0.2, alpha_value=cfg.alpha)
                     except Exception:
                         continue
-                    rep = invariance_check(eq, sol, tr, cfg.alpha, T=1.0,
+                    rep = invariance_check(eq, sol, tr, cfg.alpha, T=_VERIFY_HORIZON,
                                            K=max(cfg.grid, 64), spatial=spatial,
                                            tcut=cfg.tcut, scheme=cfg.scheme)
                     results.append({"name": g.name, "ratio": round(rep.ratio, 3),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .expr import (
@@ -236,40 +237,78 @@ def _alpha_map(e: Expr) -> dict[tuple, Poly]:
     return out
 
 
-def _solve_rational(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Exact Gaussian elimination; free unknowns are set to zero.
-    Returns None when the system is inconsistent."""
-    m = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(r, m):
-            if aug[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        piv = aug[r][col]
-        aug[r] = [v / piv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [v - f * p for v, p in zip(aug[i], aug[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][ncols] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for row, col in pivots:
-        sol[col] = aug[row][ncols]
-    return sol
+def _max_alpha_degree(maps) -> int:
+    best = 0
+    for mp in maps:
+        for poly in mp.values():
+            best = max(best, len(poly) - 1)
+    return best
+
+
+def _coordinates(maps, shift: int) -> dict[tuple, Fraction]:
+    """Sparse vector of alpha^shift * (field with the given alpha maps) in
+    (component, alpha-free monomial, alpha power) coordinates."""
+    return {
+        (comp, mono, p + shift): c
+        for comp, mp in enumerate(maps)
+        for mono, poly in mp.items()
+        for p, c in enumerate(poly)
+        if c != 0
+    }
+
+
+def _axpy(dst: dict, scale: Fraction, src: dict) -> None:
+    """dst += scale * src for sparse vectors, dropping entries that cancel."""
+    for key, v in src.items():
+        w = dst.get(key, 0) + scale * v
+        if w:
+            dst[key] = w
+        else:
+            dst.pop(key, None)
+
+
+@lru_cache(maxsize=64)
+def _basis_alpha_maps(basis: tuple[VectorField, ...]) -> tuple[tuple, int]:
+    """Per-component alpha maps of each basis field and their top alpha degree."""
+    maps = tuple(tuple(_alpha_map(c) for c in b.components()) for b in basis)
+    return maps, max(_max_alpha_degree(bm) for bm in maps)
+
+
+@lru_cache(maxsize=64)
+def _reduced_basis(basis: tuple[VectorField, ...], dmax: int) -> dict:
+    """Reduced echelon form of the vectors alpha^d * basis_k, d = 0..dmax.
+
+    Unknown k*(dmax+1)+d multiplies alpha^d * basis_k.  Vectors are inserted
+    in that order, so a pivot is created exactly for each vector independent
+    of the ones before it: the pivot columns Gauss-Jordan elimination picks.
+    Returns {pivot coordinate: (vector, combination)} where each vector is 1
+    at its own pivot and 0 at every other pivot, and its combination over the
+    unknowns reproduces it.  Dependent vectors get no pivot, so their unknowns
+    stay zero in every decomposition.  The cached result is shared by every
+    caller and must not be modified."""
+    maps, _deg = _basis_alpha_maps(basis)
+    pivots: dict[tuple, tuple[dict, dict]] = {}
+    for k, bm in enumerate(maps):
+        for d in range(dmax + 1):
+            vec = _coordinates(bm, d)
+            combo = {k * (dmax + 1) + d: Fraction(1)}
+            for coord in [c for c in vec if c in pivots]:
+                scale = vec[coord]
+                _axpy(vec, -scale, pivots[coord][0])
+                _axpy(combo, -scale, pivots[coord][1])
+            if not vec:
+                continue
+            coord = next(iter(vec))
+            inv = 1 / vec[coord]
+            vec = {key: v * inv for key, v in vec.items()}
+            combo = {key: v * inv for key, v in combo.items()}
+            for other_vec, other_combo in pivots.values():
+                scale = other_vec.get(coord)
+                if scale:
+                    _axpy(other_vec, -scale, vec)
+                    _axpy(other_combo, -scale, combo)
+            pivots[coord] = (vec, combo)
+    return pivots
 
 
 @dataclass(frozen=True)
@@ -310,58 +349,35 @@ def decompose_in_basis(f: VectorField, basis: Sequence[VectorField]) -> Decompos
         if b.n != f.n:
             raise DimensionMismatchError("basis dimension mismatch")
 
-    ncomp = f.n + 2
+    basis = tuple(basis)
+    maps, deg_b = _basis_alpha_maps(basis)
     f_maps = [_alpha_map(c) for c in f.components()]
-    b_maps = [[_alpha_map(c) for c in b.components()] for b in basis]
+    dmax = _max_alpha_degree(f_maps) + deg_b + 1  # generous cap on the lambda degree
+    pivots = _reduced_basis(basis, dmax)
 
-    def max_deg(maps) -> int:
-        best = 0
-        for mp in maps:
-            for poly in mp.values():
-                best = max(best, len(poly) - 1)
-        return best
-
-    deg_f = max_deg(f_maps)
-    deg_b = max(max_deg(bm) for bm in b_maps)
-    dmax = deg_f + deg_b + 1  # generous cap on the lambda degree
-    m = len(basis)
-
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for comp in range(ncomp):
-        monos = set(f_maps[comp])
-        for bm in b_maps:
-            monos.update(bm[comp])
-        for mono in sorted(monos, key=lambda mm: str(mm)):
-            fpoly = f_maps[comp].get(mono, ())
-            bpolys = [bm[comp].get(mono, ()) for bm in b_maps]
-            pmax = max([len(fpoly)] + [len(bp) + dmax for bp in bpolys if bp] + [1]) - 1
-            for p in range(pmax + 1):
-                row = [Fraction(0)] * (m * (dmax + 1))
-                for k, bp in enumerate(bpolys):
-                    for d in range(dmax + 1):
-                        e = p - d
-                        if 0 <= e < len(bp):
-                            row[k * (dmax + 1) + d] = bp[e]
-                rows.append(row)
-                rhs.append(fpoly[p] if p < len(fpoly) else Fraction(0))
-
-    sol = _solve_rational(rows, rhs)
-    if sol is None:
+    residual = _coordinates(f_maps, 0)
+    solution: dict[int, Fraction] = {}
+    for coord in [c for c in residual if c in pivots]:
+        scale = residual[coord]
+        vec, combo = pivots[coord]
+        _axpy(residual, -scale, vec)
+        _axpy(solution, scale, combo)
+    if residual:
         return Decomposition("outside")
-    lambdas = []
-    for k in range(m):
-        lambdas.append(poly_trim(sol[k * (dmax + 1):(k + 1) * (dmax + 1)]))
+    lambdas = [
+        poly_trim([solution.get(k * (dmax + 1) + d, Fraction(0)) for d in range(dmax + 1)])
+        for k in range(len(basis))
+    ]
     # independent verification, componentwise
-    for comp in range(ncomp):
-        acc = f.components()[comp]
+    for comp, acc in enumerate(f.components()):
         for k, b in enumerate(basis):
-            acc = acc - poly_to_expr(lambdas[k]) * b.components()[comp]
+            if lambdas[k]:
+                acc = acc - poly_to_expr(lambdas[k]) * b.components()[comp]
         if not equals_zero(acc):
             return Decomposition("outside")
     coeffs = {
         basis[k].name: poly_to_expr(lambdas[k])
-        for k in range(m)
+        for k in range(len(basis))
         if lambdas[k]
     }
     return Decomposition("coeffs", coeffs)

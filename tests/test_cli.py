@@ -134,6 +134,19 @@ class TestUsageErrors:
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
 
+    def test_empty_dimension_range(self, capsys):
+        assert main(["verify", "--n", "3..1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("tcut", ["5", "1.0", "0", "-0.2"])
+    def test_tcut_outside_horizon(self, capsys, tcut):
+        assert main(["verify", "--n", "1", "--regime", "fractional", "--tcut", tcut]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_io_error(self, capsys):
         code = main(["count", "--n", "1", "--out", "/nonexistent-dir/x.json"])
         assert code == 3
@@ -147,3 +160,8 @@ def test_runconfig_validation():
         RunConfig(alpha=2.0)
     with pytest.raises(ValueError):
         RunConfig(grid=4)
+    with pytest.raises(ValueError):
+        RunConfig(ns=())
+    with pytest.raises(ValueError):
+        RunConfig(tcut=1.0)
+    assert RunConfig(tcut=0.5).tcut == 0.5

@@ -1,6 +1,7 @@
 """Lie bracket, decomposition, table, derived-series, and canonical-match tests."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,68 @@ class TestDecompose:
         br = lie_bracket(g1["G6"], g1["G7"])
         dec = decompose_in_basis(br, list(g1.values()))
         assert dec.coeffs == {"G7": Expr.number(-1)}
+
+
+def _random_alpha_poly(rng):
+    return sum(
+        (Expr.number(Fraction(rng.randint(-5, 5), rng.randint(1, 4))) * parse(f"alpha^{d}")
+         for d in range(rng.randint(1, 3))),
+        Expr.zero(),
+    )
+
+
+@pytest.mark.parametrize("regime", [INTEGER, FRACTIONAL])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_random_combinations_decompose_back(n, regime):
+    basis = [g.field for g in generators(HeatEquation(n, regime))]
+    rng = random.Random(1000 * n + len(regime))
+    for _ in range(3):
+        coeffs = {}
+        f = vf_zero(n)
+        for b in basis:
+            if rng.random() < 0.5:
+                continue
+            c = _random_alpha_poly(rng)
+            if not c.is_zero:
+                coeffs[b.name] = c
+                f = vf_add(f, vf_scale(c, b))
+        assert decompose_in_basis(f, basis).coeffs == coeffs
+
+
+class TestDependentBasis:
+    """Unknowns of basis vectors that depend on earlier ones stay zero."""
+
+    def test_rational_multiple(self, g1):
+        g3 = g1["G3"]
+        h = vf_scale(2, g3, name="H")
+        alpha_h = vf_scale(parse("alpha"), h)
+        assert decompose_in_basis(g3, [g3, h]).coeffs == {"G3": Expr.one()}
+        assert decompose_in_basis(h, [g3, h]).coeffs == {"G3": Expr.number(2)}
+        assert decompose_in_basis(alpha_h, [g3, h]).coeffs == {"G3": parse("2*alpha")}
+        assert decompose_in_basis(g3, [h, g3]).coeffs == {"H": Expr.number(Fraction(1, 2))}
+        assert decompose_in_basis(h, [h, g3]).coeffs == {"H": Expr.one()}
+        assert decompose_in_basis(alpha_h, [h, g3]).coeffs == {"H": parse("alpha")}
+        assert not decompose_in_basis(vf_add(g3, g1["G1"]), [g3, h]).in_span
+
+    def test_alpha_multiple(self, g1):
+        g3 = g1["G3"]
+        k = vf_scale(parse("alpha"), g3, name="K")
+        f = vf_scale(parse("alpha^2 + 1"), g3)
+        assert decompose_in_basis(k, [g3, k]).coeffs == {"G3": parse("alpha")}
+        assert decompose_in_basis(f, [g3, k]).coeffs == {"G3": parse("alpha^2 + 1")}
+        assert decompose_in_basis(k, [k, g3]).coeffs == {"K": Expr.one()}
+        assert decompose_in_basis(f, [k, g3]).coeffs == {"K": parse("alpha"), "G3": Expr.one()}
+
+
+def test_same_names_different_fields_do_not_share_reduction(g1):
+    def named_a(vf):
+        return VectorField("A", vf.n, vf.xi0, vf.xi, vf.eta)
+
+    translation, dilation = named_a(g1["G1"]), named_a(g1["G3"])
+    assert decompose_in_basis(g1["G1"], [translation]).coeffs == {"A": Expr.one()}
+    assert not decompose_in_basis(g1["G1"], [dilation]).in_span
+    assert decompose_in_basis(g1["G3"], [dilation]).coeffs == {"A": Expr.one()}
+    assert not decompose_in_basis(g1["G3"], [translation]).in_span
 
 
 class TestClosure:
