@@ -9,7 +9,6 @@ from .expr import (
     ParseError,
     equals_zero,
     eval_numeric,
-    normalize,
     partial_derivative,
     substitute,
     total_derivative,
@@ -23,7 +22,6 @@ __all__ = [
     "ExprError",
     "ParseError",
     "parse",
-    "normalize",
     "equals_zero",
     "partial_derivative",
     "total_derivative",

@@ -27,7 +27,6 @@ __all__ = [
     "ExactSolution",
     "count_formula",
     "generators",
-    "generator_basis",
     "exact_solutions",
     "solution_residual",
     "catalog_json_obj",
@@ -293,10 +292,6 @@ def generators(eq: HeatEquation) -> list[NamedGenerator]:
         gens = _family(eq.n, eq.regime)
     assert len(gens) == count_formula(eq.n, eq.regime)
     return gens
-
-
-def generator_basis(eq: HeatEquation, include_infinite: bool = True) -> list[VectorField]:
-    return [g.field for g in generators(eq) if include_infinite or g.klass != "infinite"]
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,10 @@ from .catalog import FRACTIONAL, INTEGER, HeatEquation, NamedGenerator
 from .expr import (
     Expr,
     ExprError,
+    _func_laplacian,
     adjoint_frac_deriv,
     func_sym,
-    jet,
     spatial_name,
-    spatial_names,
     substitute,
     total_derivative,
 )
@@ -41,12 +40,10 @@ from .prolong import characteristic_expr
 __all__ = [
     "NonlocalError",
     "FormalLagrangian",
-    "Characteristic",
     "FracIntTerm",
     "JTerm",
     "ConservedVector",
     "AdjointEquation",
-    "characteristic",
     "conserved_vector",
     "adjoint_residual",
     "divergence_onshell_symbolic",
@@ -73,15 +70,6 @@ class FormalLagrangian:
     @property
     def expr(self) -> Expr:
         return func_sym("phi") * self.eq.residual_expr()
-
-
-@dataclass(frozen=True)
-class Characteristic:
-    expr: Expr
-
-
-def characteristic(f: VectorField) -> Characteristic:
-    return Characteristic(characteristic_expr(f))
 
 
 @dataclass(frozen=True)
@@ -117,10 +105,6 @@ class ConservedVector:
     Ct_nodes: tuple
     Cx: tuple[Expr, ...]
     paper_diff: tuple = ()
-
-    @property
-    def is_local(self) -> bool:
-        return not self.Ct_nodes
 
 
 def conserved_vector(
@@ -177,9 +161,7 @@ def adjoint_residual(eq: HeatEquation) -> AdjointEquation:
     solutions attached.  Fractional: the adjoint (right-sided) fractional
     operator minus the Laplacian; (T-t)^(alpha-1) is its numeric kernel
     sample (see liesym.fracnum.right_rl_derivative_grid)."""
-    lap_phi = Expr.zero()
-    for name in spatial_names(eq.n):
-        lap_phi = lap_phi + func_sym("phi", (name, name))
+    lap_phi = _func_laplacian("phi", eq.n)
     if eq.is_fractional:
         return AdjointEquation(
             FRACTIONAL,
@@ -204,10 +186,7 @@ def onshell_conservation_rules(eq: HeatEquation) -> dict[str, Expr]:
     from .prolong import onshell_rules
 
     rules = onshell_rules(eq)
-    lap_phi = Expr.zero()
-    for name in spatial_names(eq.n):
-        lap_phi = lap_phi + func_sym("phi", (name, name))
-    rules["phi_t"] = -lap_phi
+    rules["phi_t"] = -_func_laplacian("phi", eq.n)
     return rules
 
 

@@ -26,7 +26,6 @@ All operations are pure; expressions are immutable and hashable.
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
 
@@ -53,7 +52,6 @@ __all__ = [
     "total_derivative",
     "point_derivative",
     "substitute",
-    "normalize",
     "equals_zero",
     "eval_numeric",
     "max_jet_order",
@@ -61,7 +59,6 @@ __all__ = [
     "to_latex",
 ]
 
-DEFAULT_MAX_JET_ORDER = 4
 
 FUNCTION_SYMBOLS = ("phi", "F")
 
@@ -94,18 +91,7 @@ class EvaluationError(ExprError):
     pass
 
 
-def _env_max_order() -> int:
-    raw = os.environ.get("LIESYM_MAX_JET")
-    if raw is None:
-        return DEFAULT_MAX_JET_ORDER
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_MAX_JET_ORDER
-    return value if value >= 1 else DEFAULT_MAX_JET_ORDER
-
-
-_MAX_JET_ORDER = _env_max_order()
+_MAX_JET_ORDER = 4
 
 
 def max_jet_order() -> int:
@@ -489,6 +475,14 @@ def func_sym(name: str, index: Iterable[str] = ()) -> Expr:
     return Expr.from_atom(("f", name, _sorted_index(index)))
 
 
+def _func_laplacian(name: str, n: int) -> Expr:
+    """Sum of the second spatial derivatives of a function symbol in n dimensions."""
+    out = Expr.zero()
+    for v in spatial_names(n):
+        out = out + func_sym(name, (v, v))
+    return out
+
+
 def alpha() -> Expr:
     return Expr.from_atom(("a",))
 
@@ -788,11 +782,6 @@ def substitute(e: Expr, rules: Mapping, max_order: int | None = None) -> Expr:
     if any(replacement(atom) is not None for atom in current.atoms()):
         raise SubstitutionError("substitution fixpoint not reached within bound")
     return current
-
-
-def normalize(e: Expr) -> Expr:
-    """Expressions are kept in normal form by construction; returns e."""
-    return e
 
 
 def equals_zero(e: Expr) -> bool:

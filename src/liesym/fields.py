@@ -32,7 +32,6 @@ __all__ = [
     "vf_add",
     "vf_scale",
     "vf_zero",
-    "vf_is_zero",
     "Decomposition",
     "decompose_in_basis",
     "CommutatorTable",
@@ -129,10 +128,6 @@ def vf_scale(c, a: VectorField, name: str | None = None) -> VectorField:
         tuple(c * q for q in a.xi),
         c * a.eta,
     )
-
-
-def vf_is_zero(a: VectorField) -> bool:
-    return a.is_zero()
 
 
 def field_apply(A: VectorField, f: Expr) -> Expr:
@@ -399,16 +394,6 @@ class TableEntry:
 class CommutatorTable:
     basis: tuple[VectorField, ...]
     entries: tuple[TableEntry, ...]  # one per pair i < j
-
-    def entry(self, i: int, j: int) -> TableEntry:
-        for e in self.entries:
-            if (e.i, e.j) == (i, j):
-                return e
-        raise KeyError((i, j))
-
-    def coeffs(self, i: int, j: int) -> dict[str, Expr] | None:
-        e = self.entry(i, j)
-        return dict(e.decomposition.coeffs) if e.decomposition.in_span else None
 
     def to_json_obj(self) -> dict:
         entries = []

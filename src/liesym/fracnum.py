@@ -11,10 +11,7 @@ statements are made on interior windows t >= tcut.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-import struct
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -43,8 +40,6 @@ __all__ = [
     "j_quadrature",
 ]
 
-GRID_MAGIC = b"FHGRID1"
-
 
 class GridError(ValueError):
     pass
@@ -66,10 +61,6 @@ class FracDerivSpec:
             raise GridError(f"unknown scheme {self.scheme!r}")
         if self.direction not in ("left", "right"):
             raise GridError(f"unknown direction {self.direction!r}")
-
-    @property
-    def m(self) -> int:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -150,69 +141,6 @@ class GridFunction:
         starts = tuple(s[0] for s in spatial)
         steps = tuple((s[1] - s[0]) / (s[2] - 1) for s in spatial)
         return GridFunction(dt, vals, starts, steps)
-
-    # -- I/O -----------------------------------------------------------------
-
-    def to_csv(self) -> str:
-        """Rows t, x..., value in C order, with a header line."""
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        ncols = len(self.spatial_starts)
-        w.writerow(["t"] + [f"x{i+1}" for i in range(ncols)] + ["value"])
-        taxis = self.t_axis()
-        axes = [self.spatial_axis(i) for i in range(ncols)]
-        it = np.nditer(self.values, flags=["multi_index"])
-        for v in it:
-            idx = it.multi_index
-            coords = [taxis[idx[0]]] + [axes[i][idx[i + 1]] for i in range(ncols)]
-            w.writerow([repr(float(c)) for c in coords] + [repr(float(v))])
-        return buf.getvalue()
-
-    @staticmethod
-    def from_csv(text: str) -> "GridFunction":
-        rows = list(csv.reader(io.StringIO(text)))
-        header, data = rows[0], rows[1:]
-        ncols = len(header) - 2
-        coords = [sorted({float(r[i]) for r in data}) for i in range(ncols + 1)]
-        shape = tuple(len(c) for c in coords)
-        lookup = [{c: k for k, c in enumerate(cs)} for cs in coords]
-        vals = np.empty(shape)
-        for r in data:
-            idx = tuple(lookup[i][float(r[i])] for i in range(ncols + 1))
-            vals[idx] = float(r[-1])
-        dt = coords[0][1] - coords[0][0]
-        starts = tuple(c[0] for c in coords[1:])
-        steps = tuple(c[1] - c[0] for c in coords[1:])
-        return GridFunction(dt, vals, starts, steps)
-
-    def to_binary(self) -> bytes:
-        """Header: magic "FHGRID1", uint32 ndim, then per axis uint64 length +
-        float64 start + float64 step (time axis starts at 0), then the values
-        flat in C order; everything little-endian."""
-        v = self.values
-        out = [GRID_MAGIC, struct.pack("<I", v.ndim)]
-        out.append(struct.pack("<Qdd", v.shape[0], 0.0, self.dt))
-        for i in range(v.ndim - 1):
-            out.append(struct.pack("<Qdd", v.shape[i + 1], self.spatial_starts[i], self.spatial_steps[i]))
-        out.append(v.astype("<f8").tobytes(order="C"))
-        return b"".join(out)
-
-    @staticmethod
-    def from_binary(blob: bytes) -> "GridFunction":
-        if blob[:7] != GRID_MAGIC:
-            raise GridError("bad magic; not a grid dump")
-        off = 7
-        (ndim,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        shape, starts, steps = [], [], []
-        for _ in range(ndim):
-            cnt, start, step = struct.unpack_from("<Qdd", blob, off)
-            off += 24
-            shape.append(cnt)
-            starts.append(start)
-            steps.append(step)
-        vals = np.frombuffer(blob, dtype="<f8", offset=off).reshape(shape).copy()
-        return GridFunction(steps[0], vals, tuple(starts[1:]), tuple(steps[1:]))
 
 
 # ---------------------------------------------------------------------------

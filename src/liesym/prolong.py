@@ -19,6 +19,7 @@ from .catalog import HeatEquation, NamedGenerator
 from .expr import (
     Expr,
     ExprError,
+    _func_laplacian,
     eval_numeric,
     jet,
     spatial_name,
@@ -38,7 +39,6 @@ __all__ = [
     "determining_residual",
     "onshell_rules",
     "exponentiate_catalog",
-    "compose",
 ]
 
 
@@ -91,13 +91,7 @@ def prolong2(f: VectorField, eq: HeatEquation) -> ProlongedField:
 def onshell_rules(eq: HeatEquation) -> dict[str, Expr]:
     """Elimination rules for 'on all solutions': u_t -> Laplacian(u), and the
     infinite-family symbol F transported the same way."""
-    lap_u = eq.rhs()
-    lap_f = Expr.zero()
-    from .expr import func_sym
-
-    for name in spatial_names(eq.n):
-        lap_f = lap_f + func_sym("F", (name, name))
-    return {"u_t": lap_u, "F_t": lap_f}
+    return {"u_t": eq.rhs(), "F_t": _func_laplacian("F", eq.n)}
 
 
 def determining_residual(f: VectorField, eq: HeatEquation) -> Expr:
@@ -138,10 +132,6 @@ class PointTransformation:
         tt, yy = self.coord_map(t, tuple(xs))
         return tt, yy, u * self.u_factor(t, tuple(xs))
 
-    def invert_point(self, t: float, xs: Sequence[float], u: float):
-        t0, x0 = self.coord_inverse(t, tuple(xs))
-        return t0, x0, u / self.u_factor(t0, x0)
-
     def push_solution(self, sol: Callable) -> Callable:
         """Transport a solution: the image function evaluated at (t, xs)."""
 
@@ -151,29 +141,6 @@ class PointTransformation:
             return base * self.u_factor(t0, x0)
 
         return pushed
-
-
-def compose(first: PointTransformation, second: PointTransformation) -> PointTransformation:
-    """Composition second after first (same generator class expected)."""
-    if first.n != second.n:
-        raise ValueError("dimension mismatch")
-
-    def cmap(t, xs):
-        t1, x1 = first.coord_map(t, xs)
-        return second.coord_map(t1, x1)
-
-    def cinv(t, xs):
-        t1, x1 = second.coord_inverse(t, xs)
-        return first.coord_inverse(t1, x1)
-
-    def ufac(t, xs):
-        t1, x1 = first.coord_map(t, xs)
-        return first.u_factor(t, xs) * second.u_factor(t1, x1)
-
-    return PointTransformation(
-        f"{second.label}*{first.label}", first.n,
-        first.eps + second.eps, cmap, cinv, ufac,
-    )
 
 
 def _diagonal_weights(g: NamedGenerator, alpha_value: float | None) -> tuple[float, list[float], float] | None:

@@ -120,6 +120,34 @@ class TestVerify:
         capsys.readouterr()
         assert code == 1
 
+    def test_unsupported_flow_is_reported_as_skipped(self, capsys, monkeypatch):
+        import liesym.prolong as prolong
+
+        original = prolong.exponentiate_catalog
+
+        def failing(g, eps, alpha_value=None):
+            if g.name == "G02":
+                raise prolong.UnsupportedFlowError("G02: no closed-form flow")
+            return original(g, eps, alpha_value=alpha_value)
+
+        monkeypatch.setattr(prolong, "exponentiate_catalog", failing)
+        code, out = run_cli(["verify", "--n", "1", "--regime", "fractional",
+                             "--grid", "64", "--format", "json"], capsys)
+        assert code == 1
+        check = next(c for c in json.loads(out)["checks"]
+                     if c["name"] == "numeric_invariance[n=1]")
+        assert check["passed"] is False
+        assert {"name": "G02", "skipped": "G02: no closed-form flow",
+                "passed": False} in check["details"]["per_generator"]
+
+    def test_config_echo(self, capsys):
+        code, out = run_cli(["verify", "--n", "1", "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["config"] == {
+            "n": [1], "regime": "integer", "alpha": 0.5, "grid": 256,
+            "seed": 0, "scheme": "gl",
+        }
+
 
 class TestUsageErrors:
     def test_bad_dimension(self, capsys):
@@ -127,8 +155,26 @@ class TestUsageErrors:
         capsys.readouterr()
 
     def test_bad_alpha(self, capsys):
-        assert main(["gen", "--n", "1", "--alpha", "1.5"]) == 2
-        capsys.readouterr()
+        assert main(["verify", "--n", "1", "--alpha", "1.5"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--seed", "1"],
+        ["count", "--regime", "integer"],
+        ["brackets", "--qnodes", "8"],
+        ["algebra", "--format", "latex"],
+    ])
+    def test_flag_not_taken_by_subcommand(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err
+
+    def test_grid_below_minimum(self, capsys):
+        assert main(["verify", "--n", "1", "--regime", "fractional", "--grid", "32"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -160,6 +206,8 @@ def test_runconfig_validation():
         RunConfig(alpha=2.0)
     with pytest.raises(ValueError):
         RunConfig(grid=4)
+    with pytest.raises(ValueError):
+        RunConfig(grid=63)
     with pytest.raises(ValueError):
         RunConfig(ns=())
     with pytest.raises(ValueError):

@@ -327,29 +327,6 @@ class TestInvariance:
 
 
 class TestGridIO:
-    def _grid(self):
-        return GridFunction.sample(lambda t, xs: t + 2 * xs[0], 1.0, 8,
-                                   ((0.0, 1.0, 5),))
-
-    def test_csv_roundtrip(self):
-        g = self._grid()
-        back = GridFunction.from_csv(g.to_csv())
-        assert np.allclose(back.values, g.values)
-        assert back.dt == pytest.approx(g.dt)
-        assert back.spatial_steps[0] == pytest.approx(g.spatial_steps[0])
-
-    def test_binary_roundtrip(self):
-        g = self._grid()
-        blob = g.to_binary()
-        assert blob[:7] == b"FHGRID1"
-        back = GridFunction.from_binary(blob)
-        assert np.array_equal(back.values, g.values)
-        assert back.dt == g.dt
-
-    def test_binary_magic_guard(self):
-        with pytest.raises(GridError):
-            GridFunction.from_binary(b"NOTGRID" + b"\x00" * 64)
-
     def test_finite_values_enforced(self):
         with pytest.raises(GridError):
             GridFunction(0.1, np.array([0.0, math.inf, 1.0]))
