@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .catalog import HeatEquation, generators
 from .expr import Expr, equals_zero
-from .fields import decompose_in_basis, lie_bracket
+from .fields import Decomposition, commutator_table
 from .parser import parse
 from .reference_tables import BRACKET_TABLES, CONSERVED_TABLES
 
@@ -22,7 +22,6 @@ __all__ = [
     "BracketAuditRecord",
     "bracket_table_audit",
     "bracket_mismatch_keys",
-    "unlisted_nonzero_brackets",
     "conserved_vector_diff",
 ]
 
@@ -102,20 +101,25 @@ def _combo_str(coeffs: dict[str, Expr]) -> str:
 
 
 def bracket_table_audit(eq: HeatEquation) -> list[BracketAuditRecord]:
-    """Audit every printed bracket entry for this equation's table."""
-    table = BRACKET_TABLES.get((eq.n, eq.regime))
-    if table is None:
+    """Audit every printed bracket entry for this equation's table against
+    the computed commutator table."""
+    printed_table = BRACKET_TABLES.get((eq.n, eq.regime))
+    if printed_table is None:
         return []
-    gens = {g.name: g.field for g in generators(eq)}
-    basis = list(gens.values())
+    table = commutator_table([g.field for g in generators(eq)])
+    index = {b.name: k for k, b in enumerate(table.basis)}
+    decs = {(e.i, e.j): e.decomposition for e in table.entries}
     records = []
-    for entry in table:
-        if entry.i not in gens or entry.j not in gens:
+    for entry in printed_table:
+        if entry.i not in index or entry.j not in index:
             records.append(BracketAuditRecord(
                 entry.i, entry.j, entry.rhs, "", "unknown-name", entry.note))
             continue
-        br = lie_bracket(gens[entry.i], gens[entry.j])
-        dec = decompose_in_basis(br, basis)
+        i, j = index[entry.i], index[entry.j]
+        # the table holds i < j; [b_j, b_i] = -[b_i, b_j] and [b_i, b_i] = 0
+        dec = decs.get((min(i, j), max(i, j)), Decomposition("coeffs"))
+        if i > j and dec.in_span:
+            dec = Decomposition("coeffs", {k: -c for k, c in dec.coeffs.items()})
         if entry.infinite:
             ok = (not dec.in_span) and dec.infinite_family
             records.append(BracketAuditRecord(
@@ -134,7 +138,7 @@ def bracket_table_audit(eq: HeatEquation) -> list[BracketAuditRecord]:
             records.append(BracketAuditRecord(
                 entry.i, entry.j, entry.rhs, _combo_str(computed), "unknown-name", entry.note))
             continue
-        if any(name not in gens for name in printed):
+        if any(name not in index for name in printed):
             records.append(BracketAuditRecord(
                 entry.i, entry.j, entry.rhs, _combo_str(computed), "unknown-name", entry.note))
             continue
@@ -150,28 +154,6 @@ def bracket_table_audit(eq: HeatEquation) -> list[BracketAuditRecord]:
 def bracket_mismatch_keys(eq: HeatEquation) -> frozenset:
     """Keys (i, j, printed rhs) of the printed entries the oracle refutes."""
     return frozenset(r.key for r in bracket_table_audit(eq) if r.verdict != "match")
-
-
-def unlisted_nonzero_brackets(eq: HeatEquation) -> list[tuple[str, str, str]]:
-    """Nonzero computed brackets absent from the printed table (informational;
-    brackets involving the infinite generator are skipped)."""
-    table = BRACKET_TABLES.get((eq.n, eq.regime), ())
-    printed_pairs = {frozenset((e.i, e.j)) for e in table}
-    gens = [g for g in generators(eq) if g.klass != "infinite"]
-    fields = [g.field for g in gens]
-    basis = [g.field for g in generators(eq)]
-    out = []
-    for a in range(len(fields)):
-        for b in range(a + 1, len(fields)):
-            if frozenset((fields[a].name, fields[b].name)) in printed_pairs:
-                continue
-            br = lie_bracket(fields[a], fields[b])
-            if br.is_zero():
-                continue
-            dec = decompose_in_basis(br, basis)
-            out.append((fields[a].name, fields[b].name,
-                        _combo_str(dec.coeffs) if dec.in_span else "(outside span)"))
-    return out
 
 
 def conserved_vector_diff(cv, eq: HeatEquation) -> list[dict]:

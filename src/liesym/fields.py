@@ -387,7 +387,6 @@ class TableEntry:
     i: int
     j: int
     decomposition: Decomposition
-    bracket: VectorField
 
 
 @dataclass(frozen=True)
@@ -459,16 +458,29 @@ def _combo_latex(coeffs: dict[str, Expr], name_map) -> str:
 
 
 def commutator_table(basis: Sequence[VectorField]) -> CommutatorTable:
+    """Bracket of every pair i < j of the basis, decomposed over the basis:
+    the one bracket/decomposition pass that the print audit, closure report,
+    derived series and canonical matching all read.  Tables are cached per
+    basis content and brackets per ordered pair of fields, so a sub-basis
+    reuses brackets too.  The cached table is shared and must not be modified."""
+    return _commutator_table(tuple(basis))
+
+
+@lru_cache(maxsize=64)
+def _commutator_table(basis: tuple[VectorField, ...]) -> CommutatorTable:
     names = [b.name for b in basis]
     if len(set(names)) != len(names):
         raise ValueError("basis names must be pairwise distinct")
-    basis = tuple(basis)
-    entries = []
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            br = lie_bracket(basis[i], basis[j])
-            entries.append(TableEntry(i, j, decompose_in_basis(br, basis), br))
-    return CommutatorTable(basis, tuple(entries))
+    entries = tuple(
+        TableEntry(i, j, decompose_in_basis(_pair_bracket(basis[i], basis[j]), basis))
+        for i in range(len(basis)) for j in range(i + 1, len(basis))
+    )
+    return CommutatorTable(basis, entries)
+
+
+@lru_cache(maxsize=4096)
+def _pair_bracket(a: VectorField, b: VectorField) -> VectorField:
+    return lie_bracket(a, b)
 
 
 @dataclass(frozen=True)
@@ -533,8 +545,6 @@ def closure_report(basis: Sequence[VectorField]) -> ClosureReport:
     """Closed iff every pairwise bracket decomposes over the basis.  Brackets
     that land in the infinite solution family are reported separately and do
     not break closure when the basis itself contains an infinite generator."""
-    if not basis:
-        return ClosureReport(True, (), ())
     table = commutator_table(basis)
     has_infinite = any(b.involves_function_symbols() for b in basis)
     offending = []
@@ -729,39 +739,35 @@ def match_canonical(
     else:
         raise ValueError(f"unknown pattern {pattern!r}")
 
-    full = list(basis) + list(modulo)
+    m = len(basis)
     measured: dict[tuple[int, int], dict[int, Fraction]] = {}
     modulo_parts = []
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            br = lie_bracket(basis[i], basis[j])
-            dec = decompose_in_basis(br, full)
-            if not dec.in_span:
+    for e in commutator_table(basis + tuple(modulo)).entries:
+        if e.j >= m:
+            continue
+        pair = f"[{basis[e.i].name},{basis[e.j].name}]"
+        dec = e.decomposition
+        if not dec.in_span:
+            return CanonicalMatchReport(False, pattern, message=f"{pair} outside span")
+        row: dict[int, Fraction] = {}
+        for k, b in enumerate(basis):
+            c = dec.coeffs.get(b.name)
+            if c is None:
+                continue
+            try:
+                row[k] = c.as_fraction()
+            except ExprError:
                 return CanonicalMatchReport(
-                    False, pattern,
-                    message=f"[{basis[i].name},{basis[j].name}] outside span",
+                    False, pattern, message=f"alpha-dependent constant in {pair}"
                 )
-            row: dict[int, Fraction] = {}
-            for k, b in enumerate(basis):
-                c = dec.coeffs.get(b.name)
-                if c is None:
-                    continue
-                try:
-                    row[k] = c.as_fraction()
-                except ExprError:
-                    return CanonicalMatchReport(
-                        False, pattern,
-                        message=f"alpha-dependent constant in [{basis[i].name},{basis[j].name}]",
-                    )
-            measured[(i, j)] = row
-            for b in modulo:
-                c = dec.coeffs.get(b.name)
-                if c is not None:
-                    modulo_parts.append((basis[i].name, basis[j].name, b.name, str(c)))
+        measured[(e.i, e.j)] = row
+        for b in modulo:
+            c = dec.coeffs.get(b.name)
+            if c is not None:
+                modulo_parts.append((basis[e.i].name, basis[e.j].name, b.name, str(c)))
 
     # rescaled basis b_i' = a_i b_i has canonical constants iff
     # a_i a_j m_ij^k = T_ij^k a_k for all i, j, k
-    m = len(basis)
     equations = []
     for (i, j), row in measured.items():
         trow = target.get((i, j), {})

@@ -140,6 +140,15 @@ class TestVerify:
         assert {"name": "G02", "skipped": "G02: no closed-form flow",
                 "passed": False} in check["details"]["per_generator"]
 
+    def test_fractional_invariance_beyond_n2_fails_as_skipped(self, capsys):
+        code, out = run_cli(["verify", "--n", "3", "--regime", "fractional",
+                             "--format", "json"], capsys)
+        assert code == 1
+        check = next(c for c in json.loads(out)["checks"]
+                     if c["name"] == "numeric_invariance[n=3]")
+        assert check["passed"] is False
+        assert "skipped" in check["details"]
+
     def test_config_echo(self, capsys):
         code, out = run_cli(["verify", "--n", "1", "--format", "json"], capsys)
         assert code == 0
@@ -169,6 +178,14 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "usage:" in captured.err
+
+    @pytest.mark.parametrize("flag", [["--alpha", "0.3"], ["--grid", "128"],
+                                      ["--scheme", "l1"], ["--tcut", "0.5"]])
+    def test_fractional_flag_with_integer_regime(self, capsys, flag):
+        assert main(["verify", "--n", "1", "--regime", "integer", *flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
     def test_grid_below_minimum(self, capsys):
         assert main(["verify", "--n", "1", "--regime", "fractional", "--grid", "32"]) == 2

@@ -1,12 +1,17 @@
 """The tracked out/tables files are golden: scripts/emit_tables.py must
-reproduce each of them byte for byte."""
+reproduce each of them byte for byte, bracketing each basis pair once."""
 
 import importlib.util
+import itertools
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from liesym.catalog import FRACTIONAL, INTEGER
+from liesym import fields
+from liesym.catalog import FRACTIONAL, INTEGER, HeatEquation, generators
+from liesym.cli import _algebra_report
 
 ROOT = Path(__file__).resolve().parents[1]
 TABLES = ROOT / "out" / "tables"
@@ -30,3 +35,51 @@ def test_render_matches_golden_tables(n, regime):
     assert sorted(files) == golden
     for name, text in files.items():
         assert text.encode() == (TABLES / name).read_bytes(), name
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Calls of lie_bracket per ordered pair of field names and of
+    decompose_in_basis per (field, basis) names, counted from empty table and
+    bracket caches in every liesym module that binds them."""
+    fields._commutator_table.cache_clear()
+    fields._pair_bracket.cache_clear()
+    keys = {
+        "lie_bracket": lambda a, b: (a.name, b.name),
+        "decompose_in_basis": lambda f, basis: (f.name, tuple(b.name for b in basis)),
+    }
+    counts = {name: Counter() for name in keys}
+    for name, key in keys.items():
+        original = getattr(fields, name)
+
+        def counting(x, y, original=original, key=key, counter=counts[name]):
+            counter[key(x, y)] += 1
+            return original(x, y)
+
+        for modname, module in list(sys.modules.items()):
+            if modname.startswith("liesym") and vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+def _each_pair_once(basis):
+    return {(a.name, b.name): 1 for a, b in itertools.combinations(basis, 2)}
+
+
+@pytest.mark.parametrize("regime", [INTEGER, FRACTIONAL])
+def test_render_brackets_and_decomposes_each_pair_once(calls, regime):
+    emit_tables.render(4, regime)
+    basis = [g.field for g in generators(HeatEquation(4, regime))]
+    names = tuple(b.name for b in basis)
+    assert dict(calls["lie_bracket"]) == _each_pair_once(basis)
+    assert dict(calls["decompose_in_basis"]) == {
+        (f"[{a},{b}]", names): 1 for a, b in _each_pair_once(basis)
+    }
+
+
+def test_algebra_report_brackets_each_pair_once(calls):
+    eq = HeatEquation(5, INTEGER)
+    _algebra_report(eq)
+    finite = [g.field for g in generators(eq) if g.klass != "infinite"]
+    assert dict(calls["lie_bracket"]) == _each_pair_once(finite)
+    assert set(calls["decompose_in_basis"].values()) == {1}

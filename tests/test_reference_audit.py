@@ -12,7 +12,6 @@ from liesym.audit import (
     bracket_table_audit,
     conserved_vector_diff,
     parse_name_combo,
-    unlisted_nonzero_brackets,
 )
 from liesym.catalog import FRACTIONAL, INTEGER, HeatEquation, generators
 from liesym.conservation import conserved_vector
@@ -76,14 +75,6 @@ def test_unknown_names_reported():
     verdicts = {(r.i, r.j, r.printed): r.verdict for r in bracket_table_audit(eq)}
     assert verdicts[("G510", "X52", "G54")] == "unknown-name"
     assert verdicts[("G581", "G54", "G518")] == "unknown-name"
-
-
-def test_unlisted_nonzero_brackets_informational():
-    # the 4D fractional print misses real nonzero brackets (e.g. dilation rows)
-    eq = HeatEquation(4, FRACTIONAL)
-    missing = unlisted_nonzero_brackets(eq)
-    pairs = {(a, b) for a, b, _ in missing}
-    assert ("G61", "G611") in pairs
 
 
 @pytest.mark.parametrize("n,regime", ALL_CASES)
