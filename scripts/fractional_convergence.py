@@ -49,7 +49,7 @@ def flux_study():
     c = math.gamma(ALPHA + 1.0) / 2.0
     cases = {
         "right-derivative kernel (divergent J)": (
-            lambda t, xs, a=None: (T - t) ** (ALPHA - 1.0) if t < T else 0.0,
+            lambda t, xs, a=None: np.where(t < T, T - t, np.inf) ** (ALPHA - 1.0),
             lambda mu, xv: (1.0 - ALPHA) * (T - mu) ** (ALPHA - 2.0),
         ),
         "adjoint-shell control": (

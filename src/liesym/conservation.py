@@ -234,6 +234,11 @@ def _central_diff(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
     return out
 
 
+def _interp_columns(x: np.ndarray, xp: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """np.interp of every column of cols (sampled at xp) at the points x."""
+    return np.stack([np.interp(x, xp, c) for c in cols.T], axis=1)
+
+
 def _jet_array(base: np.ndarray, idx: tuple[str, ...], dt: float, dx: float) -> np.ndarray:
     out = base
     for v in idx:
@@ -305,8 +310,9 @@ def divergence_numeric_fractional(
 
     u and phi are (K+1) x (M+1) grids over [0, T] x [xlo, xhi]; cells touching
     t = 0 are rejected (the data there is singular by design).  phi_t may be
-    supplied as a callable (t, x) for the J quadrature; otherwise it is taken
-    from the phi grid by central differences."""
+    supplied as a callable (mu, x) for the J quadrature, called on arrays (mu
+    shaped (nodes, 1), x the cell's columns shaped (1, C)); otherwise it is
+    taken from the phi grid by central differences."""
     if eq.n != 1 or not eq.is_fractional:
         raise GridError("flux verification covers the 1D fractional case")
     if u.values.shape != phi.values.shape or u.values.ndim != 2:
@@ -349,30 +355,22 @@ def divergence_numeric_fractional(
             ct_vals = ct_vals + arrays[("f", "phi", ())] * ivals
     cx_vals = _eval_on_grid(cv.Cx[0], arrays, shape)
 
-    taxis = u.t_axis()
-
-    def j_row(k: int) -> np.ndarray:
-        f_vals = _eval_on_grid(next(n.f for n in cv.Ct_nodes if isinstance(n, JTerm)),
-                               arrays, shape)
-        out = np.empty(ix2 - ix1 + 1)
-        tline = taxis[k]
-        for col in range(ix1, ix2 + 1):
-            fcol = f_vals[:, col]
-            ffun = lambda s, tax=taxis, fc=fcol: float(np.interp(s, tax, fc))
-            if phi_t is not None:
-                gfun = lambda s, xv=xaxis[col]: float(phi_t(s, xv))
-            else:
-                pt = _central_diff(phi.values, 0, dt)[:, col]
-                gfun = lambda s, tax=taxis, pc=pt: float(np.interp(s, tax, pc))
-            out[col - ix1] = j_quadrature(ffun, gfun, alpha, tline, T, nodes=qnodes)
-        return out
-
-    has_j = any(isinstance(n, JTerm) for n in cv.Ct_nodes)
-    ct_line_lo = ct_vals[it1, ix1:ix2 + 1].copy()
-    ct_line_hi = ct_vals[it2, ix1:ix2 + 1].copy()
-    if has_j:
-        ct_line_lo += j_row(it1)
-        ct_line_hi += j_row(it2)
+    cols = slice(ix1, ix2 + 1)
+    ct_line_lo = ct_vals[it1, cols].copy()
+    ct_line_hi = ct_vals[it2, cols].copy()
+    j_f = next((n.f for n in cv.Ct_nodes if isinstance(n, JTerm)), None)
+    if j_f is not None:
+        # one J quadrature per time line, every x-column of the cell at once
+        taxis = u.t_axis()
+        f_cols = _eval_on_grid(j_f, arrays, shape)[:, cols]
+        ffun = lambda s: _interp_columns(s, taxis, f_cols)
+        if phi_t is not None:
+            gfun = lambda s: phi_t(s[:, None], xaxis[None, cols])
+        else:
+            g_cols = _central_diff(phi.values, 0, dt)[:, cols]
+            gfun = lambda s: _interp_columns(s, taxis, g_cols)
+        ct_line_lo += j_quadrature(ffun, gfun, alpha, taxis[it1], T, nodes=qnodes)
+        ct_line_hi += j_quadrature(ffun, gfun, alpha, taxis[it2], T, nodes=qnodes)
 
     int_ct_hi = float(np.trapezoid(ct_line_hi, dx=dx))
     int_ct_lo = float(np.trapezoid(ct_line_lo, dx=dx))

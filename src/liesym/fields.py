@@ -509,30 +509,6 @@ class StructureConstants:
             mat[e.j][e.i] = tuple(poly_neg(p) for p in vec)
         return StructureConstants(tuple(names), tuple(tuple(row) for row in mat))
 
-    def antisymmetry_holds(self) -> bool:
-        m = len(self.basis_names)
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    if poly_add(self.c[i][j][k], self.c[j][i][k]):
-                        return False
-        return True
-
-    def jacobi_holds(self) -> bool:
-        m = len(self.basis_names)
-        for i in range(m):
-            for j in range(i + 1, m):
-                for k in range(j + 1, m):
-                    for l in range(m):
-                        total: Poly = ()
-                        for mm in range(m):
-                            total = poly_add(total, poly_mul(self.c[i][j][mm], self.c[mm][k][l]))
-                            total = poly_add(total, poly_mul(self.c[j][k][mm], self.c[mm][i][l]))
-                            total = poly_add(total, poly_mul(self.c[k][i][mm], self.c[mm][j][l]))
-                        if total:
-                            return False
-        return True
-
 
 @dataclass(frozen=True)
 class ClosureReport:

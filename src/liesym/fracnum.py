@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -113,31 +114,25 @@ class GridFunction:
         alpha: float | None = None,
         zero_at_origin: bool = False,
     ) -> "GridFunction":
-        """Sample func(t, xs[, alpha]) on [0,T] x spatial boxes.
-        zero_at_origin stores 0.0 on the t=0 slice (for data singular there).
+        """Sample func(t, xs[, alpha]) on [0,T] x spatial boxes in one call:
+        t is the time axis shaped (K+1, 1, ...) and xs[i] is spatial axis i
+        shaped to broadcast against it; a scalar return fills the grid.
+        zero_at_origin stores 0.0 on the t=0 slice (for data singular there)
+        and leaves t = 0 out of the axis func receives.
         """
         if K < 2:
             raise GridError("K must be >= 2")
         dt = T / K
-        taxis = np.arange(K + 1) * dt
-        axes = [start + np.arange(count) * ((stop - start) / (count - 1))
-                for (start, stop, count) in spatial]
-        shape = (K + 1,) + tuple(len(a) for a in axes)
-        vals = np.empty(shape)
-        def call(t, xs):
-            return func(t, xs, alpha) if alpha is not None else func(t, xs)
-        for k, t in enumerate(taxis):
-            if k == 0 and zero_at_origin:
-                vals[0] = 0.0
-                continue
-            if not axes:
-                vals[k] = call(t, ())
-                continue
-            it = np.nditer(np.zeros(shape[1:]), flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                xs = tuple(axes[i][idx[i]] for i in range(len(axes)))
-                vals[(k,) + idx] = call(t, xs)
+        k0 = 1 if zero_at_origin else 0
+        n = len(spatial)
+        t = (np.arange(k0, K + 1) * dt).reshape((-1,) + (1,) * n)
+        xs = tuple((start + np.arange(count) * ((stop - start) / (count - 1)))
+                   .reshape((1,) * (i + 1) + (-1,) + (1,) * (n - i - 1))
+                   for i, (start, stop, count) in enumerate(spatial))
+        shape = (K + 1,) + tuple(count for _s, _e, count in spatial)
+        vals = np.zeros(shape)
+        got = func(t, xs, alpha) if alpha is not None else func(t, xs)
+        vals[k0:] = np.broadcast_to(np.asarray(got, dtype=float), vals[k0:].shape)
         starts = tuple(s[0] for s in spatial)
         steps = tuple((s[1] - s[0]) / (s[2] - 1) for s in spatial)
         return GridFunction(dt, vals, starts, steps)
@@ -459,9 +454,12 @@ def invariance_check(
 # the nonlocal double integral J(f, g)
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=16)
 def _gauss01(k: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(k)
-    return 0.5 * (x + 1.0), 0.5 * w
+    s, ws = 0.5 * (x + 1.0), 0.5 * w
+    s.flags.writeable = ws.flags.writeable = False  # shared by every caller
+    return s, ws
 
 
 def j_quadrature(
@@ -471,30 +469,34 @@ def j_quadrature(
     t: float,
     T: float,
     nodes: int = 64,
-) -> float:
+) -> float | np.ndarray:
     """J(f, g)(t) = 1/Gamma(1-alpha) * int_0^t int_t^T f(tau) g(mu)
     (mu - tau)^(-alpha) dmu dtau, for 0 < alpha < 1 (covering integer 1).
 
     The corner singularity at tau = mu = t is absorbed by the graded
     substitutions tau = t(1 - s^(1/(1-alpha))), mu = t + (T-t) r^(1/(1-alpha))
-    on tensor Gauss-Legendre nodes (nodes x nodes)."""
+    on tensor Gauss-Legendre nodes (nodes x nodes).
+
+    f and g are called once, on the 1-D array of nodes.  A scalar or
+    (nodes,) return gives one J value; when either returns (nodes, C), the
+    columns are C functions sharing the nodes and one J per column is
+    returned."""
     if not (0.0 < alpha < 1.0):
         raise GridError(f"alpha must lie in (0, 1): {alpha}")
     if not (0.0 < t < T):
         raise GridError(f"need 0 < t < T: t={t}, T={T}")
-    fv = _as_time_callable(f)
-    gv = _as_time_callable(g)
     s, ws = _gauss01(nodes)
     p = 1.0 / (1.0 - alpha)
     tau = t * (1.0 - s ** p)
     dtau = t * p * s ** (p - 1.0)
     mu = t + (T - t) * s ** p
     dmu = (T - t) * p * s ** (p - 1.0)
-    fvals = np.array([fv(x) for x in tau]) * dtau * ws
-    gvals = np.array([gv(x) for x in mu]) * dmu * ws
+    # node values as rows: (nodes,) for one function, (C, nodes) for C columns
+    fvals = np.asarray(_as_time_callable(f)(tau), dtype=float).T * (dtau * ws)
+    gvals = np.asarray(_as_time_callable(g)(mu), dtype=float).T * (dmu * ws)
     kern = (mu[None, :] - tau[:, None]) ** (-alpha)
-    total = fvals @ kern @ gvals
-    return float(total / math.gamma(1.0 - alpha))
+    total = np.einsum("...i,...i->...", fvals @ kern, gvals) / math.gamma(1.0 - alpha)
+    return float(total) if total.ndim == 0 else total
 
 
 def _as_time_callable(f) -> Callable:
@@ -503,11 +505,6 @@ def _as_time_callable(f) -> Callable:
     if isinstance(f, GridFunction):
         if f.values.ndim != 1:
             raise GridError("J quadrature takes time-only grid functions")
-        taxis = f.t_axis()
-        vals = f.values
-
-        def interp(x: float) -> float:
-            return float(np.interp(x, taxis, vals))
-
-        return interp
+        taxis, vals = f.t_axis(), f.values
+        return lambda x: np.interp(x, taxis, vals)
     raise EvaluationError(f"cannot evaluate {type(f).__name__} as a function of t")

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .catalog import HeatEquation, NamedGenerator
 from .expr import (
     Expr,
@@ -119,7 +121,8 @@ def determining_residual(f: VectorField, eq: HeatEquation) -> Expr:
 class PointTransformation:
     """One-parameter group element: closed-form maps (t, x, u) -> image and
     the exact inverse.  Coordinate maps do not depend on u; the u-map is
-    linear in u with a coordinate-dependent factor."""
+    linear in u with a coordinate-dependent factor.  The maps take floats or
+    broadcast numpy arrays for t and each x_i."""
 
     label: str
     n: int
@@ -261,7 +264,7 @@ def exponentiate_catalog(
             return t, tuple(ys)
 
         def sfac(t, xs, i=axis):
-            return math.exp(-eps * xs[i] - eps * eps * t)
+            return np.exp(-eps * xs[i] - eps * eps * t)
 
         return PointTransformation(label, n, eps, smap, sinv, sfac)
 
@@ -271,7 +274,7 @@ def exponentiate_catalog(
         #   u -> u (1-4 eps t)^{n/2} exp(-eps |x|^2/(1-4 eps t))
         def pden(t):
             d = 1.0 - 4.0 * eps * t
-            if d <= 0.0:
+            if np.any(d <= 0.0):
                 raise UnsupportedFlowError("projective flow leaves its domain (1-4*eps*t <= 0)")
             return d
 
@@ -281,14 +284,14 @@ def exponentiate_catalog(
 
         def pinv(t, xs):
             d = 1.0 + 4.0 * eps * t
-            if d <= 0.0:
+            if np.any(d <= 0.0):
                 raise UnsupportedFlowError("projective flow leaves its domain")
             return t / d, tuple(x / d for x in xs)
 
         def pfac(t, xs):
             d = pden(t)
             r2 = sum(x * x for x in xs)
-            return d ** (n / 2.0) * math.exp(-eps * r2 / d)
+            return d ** (n / 2.0) * np.exp(-eps * r2 / d)
 
         return PointTransformation(label, n, eps, pmap, pinv, pfac)
 

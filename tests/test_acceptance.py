@@ -201,7 +201,8 @@ def test_6a_fractional_flux_with_right_derivative_kernel_multiplier():
     test below passes the identical thresholds with an adjoint-shell
     multiplier, demonstrating the verification machinery itself is sound.
     """
-    phi_func = lambda t, xs, a=None: (T6 - t) ** (ALPHA6 - 1.0) if t < T6 else 0.0
+    # inf ** (alpha - 1) = 0 at t = T without evaluating 0 ** (alpha - 1)
+    phi_func = lambda t, xs, a=None: np.where(t < T6, T6 - t, np.inf) ** (ALPHA6 - 1.0)
     phi_t = lambda mu, xv: (1.0 - ALPHA6) * (T6 - mu) ** (ALPHA6 - 2.0)
     first = _flux_run(phi_func, phi_t, 2000, 256)
     second = _flux_run(phi_func, phi_t, 4000, 512)
@@ -254,7 +255,7 @@ def test_7_fractional_calculus_kernels():
         lk = float(np.max(np.abs(
             rl_derivative_grid(gk, FracDerivSpec(alpha)).values[gk.t_axis() >= 0.1])))
         gr = GridFunction.sample(
-            lambda t, xs: (1.0 - t) ** (alpha - 1.0) if t < 1.0 else 0.0, 1.0, K)
+            lambda t, xs: np.where(t < 1.0, 1.0 - t, np.inf) ** (alpha - 1.0), 1.0, K)
         rk = float(np.max(np.abs(
             right_rl_derivative_grid(gr, FracDerivSpec(alpha, direction="right"))
             .values[gr.t_axis() <= 0.9])))

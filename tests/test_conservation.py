@@ -145,7 +145,7 @@ class TestAdjoint:
         prev = None
         for K in (500, 1000):
             g = GridFunction.sample(
-                lambda t, xs: (Tloc - t) ** (alpha - 1.0) if t < Tloc else 0.0, Tloc, K)
+                lambda t, xs: np.where(t < Tloc, Tloc - t, np.inf) ** (alpha - 1.0), Tloc, K)
             d = right_rl_derivative_grid(g, FracDerivSpec(alpha, direction="right"))
             m = float(np.max(np.abs(d.values[g.t_axis() <= 0.9])))
             if prev is not None:
@@ -293,3 +293,75 @@ class TestNumericFlux:
 
         with pytest.raises(GridError):
             divergence_numeric_fractional(cv, eqf, u, phi, (0.5001, 1.0, 0.0, 1.0), ALPHA)
+
+
+class TestBatchedJ:
+    """The J term of the flux check is one quadrature per time line with
+    every x-column of the cell stacked (test 6b's grids and nodes)."""
+
+    K, QNODES, CELL = 2000, 256, (0.5, 1.0, 0.0, 1.0)
+
+    def _grids(self, u_func):
+        c = math.gamma(ALPHA + 1.0) / 2.0
+        u = GridFunction.sample(u_func, T, self.K, ((0.0, 1.0, 33),), zero_at_origin=True)
+        phi = GridFunction.sample(lambda t, xs: (T - t) ** ALPHA + c * xs[0] ** 2, T, self.K,
+                                  ((0.0, 1.0, 33),))
+        return u, phi
+
+    def test_one_leggauss_call_per_qnodes(self, eqf, gf, monkeypatch):
+        import numpy as np
+
+        from liesym import fracnum
+
+        calls = []
+        real = np.polynomial.legendre.leggauss
+
+        def counted(k):
+            calls.append(k)
+            return real(k)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+        fracnum._gauss01.cache_clear()
+        cv = conserved_vector(gf["G03"], eqf, attach_diff=False)
+        u, phi = self._grids(lambda t, xs: t ** (ALPHA - 1.0))
+        phi_t = lambda mu, xv: -ALPHA * (T - mu) ** (ALPHA - 1.0)
+        for _ in range(2):
+            divergence_numeric_fractional(cv, eqf, u, phi, self.CELL, ALPHA,
+                                          qnodes=self.QNODES, phi_t=phi_t)
+        assert calls == [self.QNODES]
+
+    @pytest.mark.parametrize("given_phi_t", [True, False])
+    def test_line_j_equals_per_column_scalar_j(self, eqf, gf, monkeypatch, given_phi_t):
+        import numpy as np
+
+        from liesym import conservation
+        from liesym.fracnum import j_quadrature
+
+        cv = conserved_vector(gf["G03"], eqf, attach_diff=False)
+        assert next(n.f for n in cv.Ct_nodes if isinstance(n, JTerm)) == parse("u")
+        # x-dependent data so that every column carries a different J
+        u, phi = self._grids(lambda t, xs: t ** (ALPHA - 1.0) * (1.0 + xs[0]))
+        phi_t = lambda mu, xv: -ALPHA * (T - mu) ** (ALPHA - 1.0) * np.cos(xv)
+        lines = []
+
+        def spy(f, g, alpha, t, T, nodes):
+            lines.append((t, j_quadrature(f, g, alpha, t, T, nodes=nodes)))
+            return lines[-1][1]
+
+        monkeypatch.setattr(conservation, "j_quadrature", spy)
+        divergence_numeric_fractional(cv, eqf, u, phi, self.CELL, ALPHA, qnodes=self.QNODES,
+                                      phi_t=phi_t if given_phi_t else None)
+        assert [t for t, _ in lines] == [0.5, 1.0]
+
+        taxis = u.t_axis()
+        phi_dt = np.gradient(phi.values, u.dt, axis=0, edge_order=2)
+        for t, row in lines:
+            assert row.shape == (33,)
+            for col, x in enumerate(u.spatial_axis(0)):
+                f = lambda s: np.interp(s, taxis, u.values[:, col])
+                if given_phi_t:
+                    g = lambda s: phi_t(s, float(x))
+                else:
+                    g = lambda s: np.interp(s, taxis, phi_dt[:, col])
+                ref = j_quadrature(f, g, ALPHA, t, T, nodes=self.QNODES)
+                assert abs(row[col] - ref) <= 1e-12 * abs(ref)

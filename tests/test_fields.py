@@ -244,8 +244,12 @@ class TestTable:
     def test_structure_constants_checks(self, g3):
         rots = [g3["G37"], g3["G38"], g3["G39"]]
         sc = StructureConstants.from_table(commutator_table(rots))
-        assert sc.antisymmetry_holds()
-        assert sc.jacobi_holds()
+        # so(3): [G37,G38] = -G39, [G37,G39] = G38, [G38,G39] = -G37
+        one, minus = (Fraction(1),), (Fraction(-1),)
+        assert sc.basis_names == ("G37", "G38", "G39")
+        assert sc.c[0][1] == ((), (), minus) and sc.c[1][0] == ((), (), one)
+        assert sc.c[0][2] == ((), one, ()) and sc.c[1][2] == (minus, (), ())
+        assert all(sc.c[i][i] == ((), (), ()) for i in range(3))
 
     def test_latex_emission(self, g1):
         table = commutator_table([g1["G3"], g1["G4"]])

@@ -116,7 +116,7 @@ class TestRightDerivative:
         prev = None
         for K in (500, 1000, 2000):
             g = GridFunction.sample(
-                lambda t, xs: (T - t) ** (alpha - 1.0) if t < T else 0.0, T, K)
+                lambda t, xs: np.where(t < T, T - t, np.inf) ** (alpha - 1.0), T, K)
             d = right_rl_derivative_grid(g, FracDerivSpec(alpha, direction="right"))
             t = g.t_axis()
             m = float(np.max(np.abs(d.values[t <= 0.9])))
@@ -260,9 +260,9 @@ class TestJQuadrature:
         assert abs(val - exact) < 1e-4
 
     def test_bilinearity(self):
-        f1 = lambda t: math.sin(t)
+        f1 = lambda t: np.sin(t)
         f2 = lambda t: t * t
-        g = lambda t: math.exp(-t)
+        g = lambda t: np.exp(-t)
         a, b = 2.0, -3.0
         lhs = j_quadrature(lambda t: a * f1(t) + b * f2(t), g, 0.5, 1.0, 2.0)
         rhs = a * j_quadrature(f1, g, 0.5, 1.0, 2.0) + b * j_quadrature(f2, g, 0.5, 1.0, 2.0)
@@ -272,7 +272,7 @@ class TestJQuadrature:
         # D_t J(f,g) = f * tI_T^(1-alpha) g - g * 0I_t^(1-alpha) f
         alpha, T = 0.5, 2.0
         f = lambda t: 1.0 + 0.5 * t
-        g = lambda t: math.cos(t)
+        g = lambda t: np.cos(t)
         t0, h = 1.0, 1e-4
         dj = (j_quadrature(f, g, alpha, t0 + h, T, nodes=192)
               - j_quadrature(f, g, alpha, t0 - h, T, nodes=192)) / (2 * h)
@@ -296,6 +296,74 @@ class TestJQuadrature:
             j_quadrature(lambda t: 1.0, lambda t: 1.0, 0.5, 2.5, 2.0)
         with pytest.raises(GridError):
             j_quadrature(lambda t: 1.0, lambda t: 1.0, 1.5, 1.0, 2.0)
+
+
+def _pointwise(func, grid, alpha):
+    """func called on plain floats at every grid point with t > 0."""
+    t = grid.t_axis()
+    axes = [grid.spatial_axis(i) for i in range(grid.values.ndim - 1)]
+    out = np.zeros(grid.values.shape)
+    for idx in np.ndindex(grid.values.shape):
+        if idx[0] > 0:
+            xs = tuple(float(axes[i][j]) for i, j in enumerate(idx[1:]))
+            out[idx] = func(float(t[idx[0]]), xs, alpha)
+    return out
+
+
+class TestArraySampling:
+    """GridFunction.sample evaluates the callable once on broadcast arrays;
+    the values equal the callable's values on plain floats."""
+
+    ALPHA = 0.6
+
+    def _check(self, func, n):
+        spatial = tuple((-1.0, 1.0, 9) for _ in range(n))
+        grid = GridFunction.sample(func, 1.0, 16, spatial, alpha=self.ALPHA,
+                                   zero_at_origin=True)
+        ref = _pointwise(func, grid, self.ALPHA)
+        assert np.all(grid.values[0] == 0.0)
+        np.testing.assert_allclose(grid.values, ref, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("name", ["power", "linear-power", "eigen"])
+    def test_solutions_match_pointwise(self, n, name):
+        from liesym.catalog import exact_solutions
+
+        sol = next(s for s in exact_solutions(HeatEquation(n, FRACTIONAL)) if s.name == name)
+        self._check(sol, n)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("regime", ["integer", "fractional"])
+    def test_pushed_eigen_matches_pointwise_for_every_flow(self, n, regime):
+        from liesym.catalog import exact_solutions, generators
+        from liesym.prolong import exponentiate_catalog
+
+        eigen = exact_solutions(HeatEquation(n, FRACTIONAL))[2]
+        classes = set()
+        for g in generators(HeatEquation(n, regime)):
+            if g.klass == "infinite":
+                continue
+            # eps < 0 keeps every preimage time positive (time translation)
+            tr = exponentiate_catalog(g, -0.15, alpha_value=self.ALPHA)
+            self._check(tr.push_solution(eigen), n)
+            classes.add(g.klass)
+        assert len(classes) == (7 if regime == "integer" else 4) - (n == 1)
+
+    def test_projective_domain_guard_on_arrays(self):
+        from liesym.catalog import INTEGER, generators
+        from liesym.prolong import UnsupportedFlowError, exponentiate_catalog
+
+        g5 = next(g for g in generators(HeatEquation(1, INTEGER)) if g.klass == "projective")
+        t = np.linspace(0.1, 1.0, 10)  # 1 - 4*eps*t = 0 at t = 1 only
+        tr = exponentiate_catalog(g5, 0.25)
+        with pytest.raises(UnsupportedFlowError):
+            tr.coord_map(t, (np.zeros_like(t),))
+        with pytest.raises(UnsupportedFlowError):
+            tr.u_factor(t, (np.zeros_like(t),))
+        # the pushed solution of the inverse flow meets 1 + 4*eps*t = 0 at t = T
+        back = exponentiate_catalog(g5, -0.25).push_solution(lambda t, xs: 1.0)
+        with pytest.raises(UnsupportedFlowError):
+            GridFunction.sample(back, 1.0, 16, ((-1.0, 1.0, 9),), zero_at_origin=True)
 
 
 class TestInvariance:
