@@ -336,7 +336,7 @@ def _verify_report(cfg: RunConfig) -> dict:
                     {"dimension": n, "regime": cfg.regime, "kind": "conserved",
                      "symmetry": g.name, **d} for d in cv.paper_diff
                 )
-            if n <= 2:
+            if n <= 3:
                 sol = exact_solutions(eq, k=1.0)[2]
                 spatial = tuple((-1.5, 1.5, 25) for _ in range(n))
                 results = []
@@ -358,7 +358,7 @@ def _verify_report(cfg: RunConfig) -> dict:
                     {"per_generator": results})
             else:
                 add(f"numeric_invariance[n={n}]", False,
-                    {"skipped": "numeric invariance is implemented for n <= 2 only"})
+                    {"skipped": "numeric invariance is implemented for n <= 3 only"})
 
         finite = [g.field for g in gens if g.klass != "infinite"]
         pairs_ok = True

@@ -140,12 +140,27 @@ class TestVerify:
         assert {"name": "G02", "skipped": "G02: no closed-form flow",
                 "passed": False} in check["details"]["per_generator"]
 
-    def test_fractional_invariance_beyond_n2_fails_as_skipped(self, capsys):
+    def test_fractional_invariance_at_n3_checks_every_generator(self, capsys):
+        from liesym.catalog import FRACTIONAL, HeatEquation, generators
+
         code, out = run_cli(["verify", "--n", "3", "--regime", "fractional",
+                             "--format", "json"], capsys)
+        assert code == 0
+        check = next(c for c in json.loads(out)["checks"]
+                     if c["name"] == "numeric_invariance[n=3]")
+        assert check["passed"] is True
+        results = check["details"]["per_generator"]
+        expected = [g.name for g in generators(HeatEquation(3, FRACTIONAL))
+                    if g.klass not in ("infinite", "homogeneity")]
+        assert [r["name"] for r in results] == expected
+        assert all(r["passed"] and "ratio" in r for r in results)
+
+    def test_fractional_invariance_beyond_n3_fails_as_skipped(self, capsys):
+        code, out = run_cli(["verify", "--n", "4", "--regime", "fractional",
                              "--format", "json"], capsys)
         assert code == 1
         check = next(c for c in json.loads(out)["checks"]
-                     if c["name"] == "numeric_invariance[n=3]")
+                     if c["name"] == "numeric_invariance[n=4]")
         assert check["passed"] is False
         assert "skipped" in check["details"]
 

@@ -11,6 +11,8 @@ from liesym.fracnum import (
     FracDerivSpec,
     GridFunction,
     GridError,
+    _causal_convolve,
+    _gl_integral_weights,
     gamma_reciprocal,
     gl_weights,
     invariance_check,
@@ -60,6 +62,105 @@ class TestGLWeights:
     def test_window(self):
         with pytest.raises(GridError):
             gl_weights(1.5, 4)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 1.0 - 1e-12])
+    @pytest.mark.parametrize("count", [0, 1, 2, 256, 4000])
+    def test_equal_to_recurrence(self, alpha, count):
+        # bit for bit the left-to-right products of the documented recurrence
+        w, wi = [1.0], [1.0]
+        for j in range(1, count + 1):
+            w.append(w[-1] * (1.0 - (alpha + 1.0) / j))
+            wi.append(wi[-1] * (1.0 + (alpha - 1.0) / j))
+        assert gl_weights(alpha, count).tolist() == w
+        assert _gl_integral_weights(alpha, count).tolist() == wi
+
+
+def _direct_rows(w, v, rows):
+    """Reference (w * v)[k] = sum_{j<=k} w_j v_{k-j} by math.fsum, with the
+    per-entry scale sum_j |w_j| |v_{k-j}|, for the listed rows."""
+    flat = v.reshape(v.shape[0], -1)
+    ref = np.empty((len(rows), flat.shape[1]))
+    scale = np.empty_like(ref)
+    for r, k in enumerate(rows):
+        for c in range(flat.shape[1]):
+            terms = [w[j] * flat[k - j, c] for j in range(k + 1)]
+            ref[r, c] = math.fsum(terms)
+            scale[r, c] = math.fsum(abs(x) for x in terms)
+    return ref, scale
+
+
+def _checked_rows(K):
+    # every row of a short axis; the rows around each block edge of a long one
+    if K <= 129:
+        return list(range(K))
+    return sorted({0, 1, 63, 64, 65, 127, 128, 129, K // 2, K - 2, K - 1})
+
+
+class TestCausalConvolve:
+    """The blocked Toeplitz kernel against a direct compensated sum: every
+    entry within 1e-13 of sum_j |w_j| |v_{k-j}| (a per-entry bound, which an
+    FFT would not meet on cancelling sums)."""
+
+    SHAPES = [(), (7,), (5, 3)]
+
+    @pytest.mark.parametrize("K", [1, 2, 63, 64, 65, 129, 2001])
+    @pytest.mark.parametrize("trailing", SHAPES)
+    @pytest.mark.parametrize("weights", ["derivative", "integral"])
+    def test_matches_direct_sum(self, K, trailing, weights):
+        rng = np.random.default_rng(K)
+        v = rng.standard_normal((K,) + trailing)
+        if weights == "derivative":
+            w = gl_weights(0.4, K - 1)
+        else:
+            w = _gl_integral_weights(0.6, K - 1)
+        out = _causal_convolve(w, v)
+        assert out.shape == v.shape
+        rows = _checked_rows(K)
+        ref, scale = _direct_rows(w, v, rows)
+        got = out.reshape(K, -1)[rows]
+        assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("K", [63, 64, 65, 129, 2001])
+    @pytest.mark.parametrize("trailing", SHAPES)
+    def test_left_and_right_operators(self, K, trailing):
+        # dt = 1 leaves the scale factors dt^(+-alpha) exactly 1
+        rng = np.random.default_rng(K + 1)
+        v = rng.standard_normal((K,) + trailing)
+        u = GridFunction(1.0, v, (0.0,) * len(trailing), (1.0,) * len(trailing))
+        rows = _checked_rows(K)
+        mirrored = [K - 1 - k for k in rows]
+        a = 0.3
+        for w, left, right in [
+            (gl_weights(a, K - 1),
+             rl_derivative_grid(u, FracDerivSpec(a)).values,
+             right_rl_derivative_grid(u, FracDerivSpec(a, direction="right")).values),
+            (_gl_integral_weights(a, K - 1),
+             rl_integral_values(u, a), right_rl_integral_values(u, a)),
+        ]:
+            ref, scale = _direct_rows(w, v, rows)
+            assert np.all(np.abs(left.reshape(K, -1)[rows] - ref) <= 1e-13 * scale)
+            ref, scale = _direct_rows(w, v[::-1], rows)
+            got = right.reshape(K, -1)[mirrored]
+            assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("K", [3, 64, 65, 66, 130, 2001])
+    @pytest.mark.parametrize("trailing", SHAPES)
+    def test_l1_matches_per_row_formula(self, K, trailing):
+        # out[k] = sum_{m<k} b_{k-1-m} (v_{m+1} - v_m) / Gamma(2 - alpha) at
+        # dt = 1; v_0 = 0 removes the boundary term
+        a = 0.7
+        rng = np.random.default_rng(K + 2)
+        v = rng.standard_normal((K,) + trailing)
+        v[0] = 0.0
+        u = GridFunction(1.0, v, (0.0,) * len(trailing), (1.0,) * len(trailing))
+        got = rl_derivative_grid(u, FracDerivSpec(a, scheme="l1")).values.reshape(K, -1)
+        j = np.arange(K)
+        b = j[1:] ** (1.0 - a) - j[:-1] ** (1.0 - a)
+        rows = [k for k in _checked_rows(K) if k >= 1]
+        ref, scale = _direct_rows(b, np.diff(v, axis=0), [k - 1 for k in rows])
+        g = math.gamma(2.0 - a)
+        assert np.all(got[0] == 0.0)
+        assert np.all(np.abs(got[rows] - ref / g) <= 1e-13 * scale / g)
 
 
 class TestLeftDerivative:
@@ -377,6 +478,31 @@ class TestInvariance:
         tr = exponentiate_catalog(g01, 0.0)
         rep = invariance_check(eq, sol, tr, 0.5, T=1.0, K=128, spatial=((-1.0, 1.0, 17),))
         assert rep.ratio == pytest.approx(1.0)
+
+    def test_base_residual_computed_once(self, monkeypatch):
+        import liesym.fracnum as fracnum
+        from liesym.catalog import exact_solutions, generators
+        from liesym.prolong import exponentiate_catalog
+
+        eq = HeatEquation(1, FRACTIONAL)
+        sol = exact_solutions(eq, k=1.0)[2]
+        gens = [g for g in generators(eq) if g.name in ("G01", "G02")]
+        kwargs = dict(T=1.0, K=128, spatial=((-1.0, 1.0, 17),))
+        fresh = [invariance_check(eq, sol, exponentiate_catalog(g, 0.2, alpha_value=0.5),
+                                  0.5, **kwargs) for g in gens]
+        calls = []
+        original = fracnum.residual_on_grid
+        monkeypatch.setattr(fracnum, "residual_on_grid",
+                            lambda *a, **k: calls.append(a[1]) or original(*a, **k))
+        fracnum._base_interior_max.cache_clear()
+        reps = [invariance_check(eq, sol, exponentiate_catalog(g, 0.2, alpha_value=0.5),
+                                 0.5, **kwargs) for g in gens]
+        # one base residual, then one per transformed solution; same numbers
+        assert len(calls) == 1 + len(gens)
+        assert reps == fresh
+        invariance_check(eq, sol, exponentiate_catalog(gens[0], 0.2, alpha_value=0.5),
+                         0.5, T=1.0, K=128, spatial=((-1.0, 1.0, 17),), scheme="l1")
+        assert len(calls) == 1 + len(gens) + 2  # another scheme is another base
 
     def test_window_violation_reported(self):
         from liesym.prolong import PointTransformation
