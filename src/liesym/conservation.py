@@ -48,7 +48,6 @@ __all__ = [
     "adjoint_residual",
     "divergence_onshell_symbolic",
     "onshell_conservation_rules",
-    "is_trivial",
     "FluxReport",
     "divergence_numeric_fractional",
     "conserved_vector_json_obj",
@@ -201,18 +200,6 @@ def divergence_onshell_symbolic(cv: ConservedVector, eq: HeatEquation) -> Expr:
     for i in range(eq.n):
         div = div + total_derivative(cv.Cx[i], spatial_name(i + 1))
     return substitute(div, onshell_conservation_rules(eq))
-
-
-def is_trivial(cv: ConservedVector, eq: HeatEquation) -> bool:
-    """Trivial conserved vector: every component vanishes on the solution
-    shell (u_t -> Lap u) alone."""
-    if cv.Ct_nodes:
-        return False
-    from .prolong import onshell_rules
-
-    rules = onshell_rules(eq)
-    comps = (cv.Ct_local, *cv.Cx)
-    return all(substitute(c, rules).is_zero for c in comps)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ All operations are pure; expressions are immutable and hashable.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
@@ -159,7 +160,9 @@ def _sorted_index(names: Iterable[str]) -> tuple[str, ...]:
 _KIND_RANK = {"v": 0, "j": 1, "f": 2, "D": 3, "R": 4, "a": 5}
 
 
+@functools.cache
 def _atom_key(atom: tuple) -> tuple:
+    # memoised: the alphabet is finite (bounded by n and the jet-order cap)
     kind = atom[0]
     rank = _KIND_RANK[kind]
     if kind == "v":
@@ -241,7 +244,7 @@ class Expr:
     def __init__(self, terms: tuple = ()):
         # terms must already be normalized; use the constructors below
         self._terms = terms
-        self._hash = hash(terms)
+        self._hash = None  # computed on first use: most results are never hashed
 
     @staticmethod
     def _from_map(mapping: dict) -> "Expr":
@@ -317,11 +320,8 @@ class Expr:
             return self
         acc = dict(self._terms)
         for mono, c in other._terms:
-            k = acc.get(mono, Fraction(0)) + c
-            if k == 0:
-                acc.pop(mono, None)
-            else:
-                acc[mono] = k
+            prev = acc.get(mono)
+            acc[mono] = c if prev is None else prev + c
         return Expr._from_map(acc)
 
     __radd__ = __add__
@@ -351,12 +351,8 @@ class Expr:
         for m1, c1 in self._terms:
             for m2, c2 in other._terms:
                 mono = _mono_mul(m1, m2)
-                c = c1 * c2
-                k = acc.get(mono, Fraction(0)) + c
-                if k == 0:
-                    acc.pop(mono, None)
-                else:
-                    acc[mono] = k
+                prev = acc.get(mono)
+                acc[mono] = c1 * c2 if prev is None else prev + c1 * c2
         return Expr._from_map(acc)
 
     __rmul__ = __mul__
@@ -404,6 +400,8 @@ class Expr:
         return self._terms == other._terms
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(self._terms)
         return self._hash
 
     def __bool__(self):
@@ -567,41 +565,37 @@ def partial_derivative(e: Expr, sym) -> Expr:
             rest = mono[:i] + mono[i + 1:]
             if k != 1:
                 rest = _mono_mul(rest, ((atom, k - 1),))
-            coeff = c * k
-            cur = acc.get(rest, Fraction(0)) + coeff
-            if cur == 0:
-                acc.pop(rest, None)
-            else:
-                acc[rest] = cur
+            prev = acc.get(rest)
+            acc[rest] = c * k if prev is None else prev + c * k
     return Expr._from_map(acc)
 
 
-def _atom_total_derivative(atom: tuple, v: str, cap: int) -> Expr | None:
-    """D_v of a single atom, or None when it is constant in v."""
+def _atom_total_derivative(atom: tuple, v: str, cap: int) -> Monomial | None:
+    """D_v of a single atom as a monomial, or None when it is constant in v."""
     kind = atom[0]
     if kind == "v":
-        return _ONE if atom[1] == v else None
+        return () if atom[1] == v else None
     if kind == "j":
         idx = _sorted_index(atom[1] + (v,))
         if len(idx) > cap:
             raise JetOrderError(
                 f"total derivative exceeds jet-order cap {cap}: u_{''.join(idx)}"
             )
-        return Expr.from_atom(("j", idx))
+        return ((("j", idx), 1),)
     if kind == "f":
         idx = _sorted_index(atom[2] + (v,))
         if len(idx) > cap:
             raise JetOrderError(
                 f"total derivative exceeds jet-order cap {cap}: {atom[1]}_{''.join(idx)}"
             )
-        return Expr.from_atom(("f", atom[1], idx))
+        return ((("f", atom[1], idx), 1),)
     if kind == "D":
         if v == "t":
             raise ExprError("time total-derivative of a fractional marker is not defined here")
         idx = _sorted_index(atom[1] + (v,))
         if len(idx) > cap:
             raise JetOrderError("total derivative exceeds jet-order cap on a fractional marker")
-        return Expr.from_atom(("D", idx))
+        return ((("D", idx), 1),)
     if kind == "R":
         raise ExprError("adjoint fractional marker cannot be differentiated")
     return None  # alpha
@@ -610,15 +604,6 @@ def _atom_total_derivative(atom: tuple, v: str, cap: int) -> Expr | None:
 def _derive(e: Expr, v: str, cap: int, jets_chain: bool) -> Expr:
     v = canonical_var(v)
     acc: dict = {}
-
-    def add_terms(expr: Expr):
-        for mono, c in expr.terms:
-            k = acc.get(mono, Fraction(0)) + c
-            if k == 0:
-                acc.pop(mono, None)
-            else:
-                acc[mono] = k
-
     for mono, c in e.terms:
         for i, (atom, k) in enumerate(mono):
             if not jets_chain and atom[0] in ("j", "D"):
@@ -631,7 +616,10 @@ def _derive(e: Expr, v: str, cap: int, jets_chain: bool) -> Expr:
             rest = mono[:i] + mono[i + 1:]
             if k != 1:
                 rest = _mono_mul(rest, ((atom, k - 1),))
-            add_terms(Expr(((rest, c * k),)) * datom)
+            mono_out = _mono_mul(rest, datom)
+            ck = c if k == 1 else c * k
+            prev = acc.get(mono_out)
+            acc[mono_out] = ck if prev is None else prev + ck
     return Expr._from_map(acc)
 
 
@@ -751,11 +739,8 @@ def substitute(e: Expr, rules: Mapping, max_order: int | None = None) -> Expr:
 
         def add(expr: Expr, scale: Fraction):
             for mono, c in expr.terms:
-                k = acc.get(mono, Fraction(0)) + c * scale
-                if k == 0:
-                    acc.pop(mono, None)
-                else:
-                    acc[mono] = k
+                prev = acc.get(mono)
+                acc[mono] = c * scale if prev is None else prev + c * scale
 
         for mono, c in current.terms:
             plain: list = []

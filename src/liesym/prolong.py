@@ -22,12 +22,14 @@ from .expr import (
     Expr,
     ExprError,
     _func_laplacian,
+    canonical_var,
     eval_numeric,
     jet,
     spatial_name,
     spatial_names,
     substitute,
     total_derivative,
+    var_rank,
 )
 from .fields import VectorField
 
@@ -60,34 +62,39 @@ def characteristic_expr(f: VectorField) -> Expr:
     return w
 
 
-@dataclass(frozen=True)
 class ProlongedField:
-    base: VectorField
-    eta1: dict  # var name -> Expr
-    eta2: dict  # (v, w) sorted pair -> Expr
+    """Second prolongation of a point field, computed on demand:
+    ``eta(*J)`` is eta^J for a first- or second-order index J.  Each D_J W
+    is kept, so D_{vw} W is D_w applied to the stored D_v W."""
+
+    def __init__(self, base: VectorField):
+        self.base = base
+        self._dw: dict[tuple[str, ...], Expr] = {(): characteristic_expr(base)}
+        self._eta: dict[tuple[str, ...], Expr] = {}
+
+    def _total_dw(self, idx: tuple[str, ...]) -> Expr:
+        if idx not in self._dw:
+            self._dw[idx] = total_derivative(self._total_dw(idx[:-1]), idx[-1])
+        return self._dw[idx]
+
+    def eta(self, *index: str) -> Expr:
+        idx = tuple(sorted((canonical_var(v) for v in index), key=var_rank))
+        if not 1 <= len(idx) <= 2:
+            raise ValueError("prolong2 has coefficients of order 1 and 2 only")
+        if idx not in self._eta:
+            f = self.base
+            out = self._total_dw(idx)
+            for coeff, v in zip((f.xi0, *f.xi), ("t", *spatial_names(f.n))):
+                if not coeff.is_zero:
+                    out = out + coeff * jet(v, *idx)
+            self._eta[idx] = out
+        return self._eta[idx]
 
 
 def prolong2(f: VectorField, eq: HeatEquation) -> ProlongedField:
     if f.n != eq.n:
         raise ValueError("field and equation dimensions differ")
-    w = characteristic_expr(f)
-    coords = ["t"] + list(spatial_names(f.n))
-
-    def transport(idx: tuple[str, ...]) -> Expr:
-        dw = w
-        for v in idx:
-            dw = total_derivative(dw, v)
-        out = dw + f.xi0 * jet("t", *idx)
-        for i in range(f.n):
-            out = out + f.xi[i] * jet(spatial_name(i + 1), *idx)
-        return out
-
-    eta1 = {v: transport((v,)) for v in coords}
-    eta2 = {}
-    for a in range(len(coords)):
-        for b in range(a, len(coords)):
-            eta2[(coords[a], coords[b])] = transport((coords[a], coords[b]))
-    return ProlongedField(f, eta1, eta2)
+    return ProlongedField(f)
 
 
 def onshell_rules(eq: HeatEquation) -> dict[str, Expr]:
@@ -107,9 +114,9 @@ def determining_residual(f: VectorField, eq: HeatEquation) -> Expr:
             "(liesym.fracnum.invariance_check)"
         )
     pr = prolong2(f, eq)
-    residual = pr.eta1["t"]
+    residual = pr.eta("t")
     for name in spatial_names(eq.n):
-        residual = residual - pr.eta2[(name, name)]
+        residual = residual - pr.eta(name, name)
     return substitute(residual, onshell_rules(eq))
 
 
@@ -211,14 +218,15 @@ def exponentiate_catalog(
         ang = s * eps
         # flow of s*(x_p d_q - x_q d_p): rotates the (p, q) plane
         cos_a, sin_a = math.cos(ang), math.sin(ang)
+        p, q = p - 1, q - 1
 
-        def rmap(t, xs, p=p - 1, q=q - 1, ca=cos_a, sa=sin_a):
+        def rmap(t, xs):
             ys = list(xs)
             ys[p] = cos_a * xs[p] - sin_a * xs[q]
             ys[q] = sin_a * xs[p] + cos_a * xs[q]
             return t, tuple(ys)
 
-        def rinv(t, xs, p=p - 1, q=q - 1):
+        def rinv(t, xs):
             ys = list(xs)
             ys[p] = cos_a * xs[p] + sin_a * xs[q]
             ys[q] = -sin_a * xs[p] + cos_a * xs[q]

@@ -1,11 +1,17 @@
 """CLI contract: subcommands, formats, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 import liesym.reference_tables as reference_tables
 from liesym.cli import RunConfig, main
+
+# output of `verify --n 1..4 --format json --seed 7`, frozen before the lazy
+# prolongation; the fractional JSON is left out because its rounded floats
+# depend on the BLAS build
+GOLDEN_INTEGER_VERIFY = Path(__file__).parent / "data" / "verify_integer_n1-4_seed7.json"
 
 
 def run_cli(args, capsys):
@@ -89,6 +95,11 @@ class TestVerify:
         assert code == 0
         assert "[PASS] determining_residuals[n=2]" in out
         assert "[PASS] conservation_divergences[n=2]" in out
+
+    def test_integer_json_matches_golden(self, capsys):
+        code, out = run_cli(["verify", "--n", "1..4", "--format", "json", "--seed", "7"], capsys)
+        assert code == 0
+        assert out.encode() == GOLDEN_INTEGER_VERIFY.read_bytes()
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

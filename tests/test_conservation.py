@@ -20,7 +20,6 @@ from liesym.conservation import (
     conserved_vector_latex,
     divergence_numeric_fractional,
     divergence_onshell_symbolic,
-    is_trivial,
 )
 from liesym.expr import Expr, substitute
 from liesym.fields import vf_add, vf_scale
@@ -172,15 +171,6 @@ class TestSymbolicDivergence:
         cv = conserved_vector(gf["G03"], eqf, attach_diff=False)
         with pytest.raises(NonlocalError):
             divergence_onshell_symbolic(cv, eqf)
-
-    def test_trivial_detection(self, eq1):
-        onshell_zero = parse("phi") * (parse("u_t") - parse("u_{xx}"))
-        cv = ConservedVector("synthetic", 1, INTEGER, parse("0"),
-                             onshell_zero, (), (onshell_zero,))
-        assert is_trivial(cv, eq1)
-        real = conserved_vector({g.name: g for g in generators(eq1)}["G6"],
-                                eq1, attach_diff=False)
-        assert not is_trivial(real, eq1)
 
 
 class TestPrintAudit:

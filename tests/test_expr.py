@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liesym import parse
 from liesym.expr import (
@@ -15,6 +16,7 @@ from liesym.expr import (
     SubstitutionError,
     equals_zero,
     eval_numeric,
+    func_sym,
     jet,
     partial_derivative,
     point_derivative,
@@ -207,3 +209,41 @@ def test_total_derivatives_commute(e):
     dxdt = total_derivative(total_derivative(e, "t"), "x")
     dtdx = total_derivative(total_derivative(e, "x"), "t")
     assert equals_zero(dxdt - dtdx)
+
+
+# monomials to divide by, so that terms carry negative exponents
+_DIVISORS = (Expr.one(), var("t"), var("x"), var("t") * var("x"), jet(), jet("x"))
+
+
+def _atom_derivative(atom, v, jets_chain):
+    """D_v of one atom, written out from its kind."""
+    kind = atom[0]
+    if kind == "v":
+        return Expr.one() if atom[1] == v else Expr.zero()
+    if kind == "j":
+        return jet(*atom[1], v) if jets_chain else Expr.zero()
+    if kind == "f":
+        return func_sym(atom[1], atom[2] + (v,))
+    return Expr.zero()  # alpha
+
+
+def _chain_rule(e, v, jets_chain):
+    out = Expr.zero()
+    for atom in e.atoms():
+        out = out + partial_derivative(e, atom) * _atom_derivative(atom, v, jets_chain)
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(jet_polynomials(), st.sampled_from(_DIVISORS), st.sampled_from(("t", "x")))
+def test_total_derivative_chain_rule(e, divisor, v):
+    e = e / divisor
+    assert total_derivative(e, v) == _chain_rule(e, v, jets_chain=True)
+
+
+@settings(max_examples=120, deadline=None)
+@given(jet_polynomials(), st.sampled_from(_DIVISORS), st.sampled_from(("t", "x")))
+def test_point_derivative_chain_rule(e, divisor, v):
+    # u, its jets and fractional markers are constant on (t, x, u)-space
+    e = e / divisor
+    assert point_derivative(e, v) == _chain_rule(e, v, jets_chain=False)

@@ -8,7 +8,7 @@ import pytest
 from liesym import parse
 from liesym.catalog import FRACTIONAL, INTEGER, HeatEquation, exact_solutions, generators
 from liesym.expr import eval_numeric
-from liesym.fields import VectorField
+from liesym.fields import VectorField, vf_add
 from liesym.prolong import (
     RegimeError,
     UnsupportedFlowError,
@@ -32,21 +32,36 @@ def g1(eq1):
 
 
 class TestProlong2:
+    INDICES = (("t",), ("x",), ("t", "t"), ("t", "x"), ("x", "x"))
+
     def test_translation_prolongs_to_zero(self, eq1, g1):
         pr = prolong2(g1["G1"].field, eq1)
-        assert all(v.is_zero for v in pr.eta1.values())
-        assert all(v.is_zero for v in pr.eta2.values())
+        assert all(pr.eta(*idx).is_zero for idx in self.INDICES)
+
+    def test_time_translation_prolongs_to_zero(self, eq1, g1):
+        pr = prolong2(g1["G3"].field, eq1)
+        assert all(pr.eta(*idx).is_zero for idx in self.INDICES)
 
     def test_scaling_prolongs_identically(self, eq1, g1):
         pr = prolong2(g1["G6"].field, eq1)
-        assert pr.eta1["t"] == parse("u_t")
-        assert pr.eta2[("x", "x")] == parse("u_{xx}")
+        assert pr.eta("t") == parse("u_t")
+        assert pr.eta("x", "x") == parse("u_{xx}")
 
     def test_galilean_fixture(self, eq1, g1):
         # frozen from a one-time hand expansion of the characteristic recursion
         pr = prolong2(g1["G2"].field, eq1)
-        assert pr.eta1["t"] == parse("-x*u_t - 2*u_x")
-        assert pr.eta2[("x", "x")] == parse("-x*u_{xx} - 2*u_x")
+        assert pr.eta("t") == parse("-x*u_t - 2*u_x")
+        assert pr.eta("x", "x") == parse("-x*u_{xx} - 2*u_x")
+
+    def test_mixed_index_order_is_irrelevant(self, eq1, g1):
+        pr = prolong2(g1["G5"].field, eq1)
+        assert pr.eta("x", "t") is pr.eta("t", "x")
+        assert pr.eta("x1", "t") is pr.eta("t", "x")
+
+    @pytest.mark.parametrize("index", [(), ("t", "x", "x")])
+    def test_only_first_and_second_order(self, eq1, g1, index):
+        with pytest.raises(ValueError):
+            prolong2(g1["G5"].field, eq1).eta(*index)
 
 
 class TestDeterminingResidual:
@@ -70,6 +85,40 @@ class TestDeterminingResidual:
             assert not determining_residual(f, eq1).is_zero
         f = VectorField("bad-t", 1, parse("0"), (parse("t"),), parse("0"))
         assert not determining_residual(f, eq1).is_zero
+
+    # frozen from the eager prolongation (every eta^J built) before it became
+    # lazy; the residual is linear in the field, so a catalog pair sum plus
+    # noise leaves the residual of the noise
+    @pytest.mark.parametrize("n, xi0, xi, eta, expected", [
+        (1, "0", "0", "x^2", "-2"),
+        (1, "0", "0", "t*x", "x"),
+        (1, "0", "0", "x^3", "-6*x"),
+        (1, "0", "0", "u^2", "-2*u_x^2"),
+        (2, "0", "0", "x^2", "-2"),
+        (2, "0", "0", "t*x", "x"),
+        (2, "0", "0", "x^3", "-6*x"),
+        (2, "0", "0", "u^2", "-2*u_x^2 - 2*u_y^2"),
+        (3, "0", "0", "x^2", "-2"),
+        (3, "0", "0", "t*x", "x"),
+        (3, "0", "0", "x^3", "-6*x"),
+        (3, "0", "0", "u^2", "-2*u_x^2 - 2*u_y^2 - 2*u_z^2"),
+        (1, "t*x", "x*u", "u^2*t",
+         "-2*t*u_x^2 + 2*t*u_{xxx} + 2*x*u_x*u_{xx} - x*u_{xx} + 2*u*u_{xx} + u^2 + 2*u_x^2"),
+        (2, "t*x", "x*u", "u^2*t",
+         "-2*t*u_x^2 - 2*t*u_y^2 + 2*t*u_{xxx} + 2*t*u_{xyy} + 2*x*u_x*u_{xx}"
+         " + 2*x*u_x*u_{xy} + 2*x*u_y*u_{xy} + 2*x*u_y*u_{yy} - x*u_{xx} - x*u_{yy}"
+         " + 2*u*u_{xx} + 2*u*u_{xy} + u^2 + 2*u_x*u_y + 2*u_x^2"),
+    ])
+    def test_nonzero_residual_exact_form(self, n, xi0, xi, eta, expected):
+        f = VectorField("bad", n, parse(xi0), tuple(parse(xi) for _ in range(n)), parse(eta))
+        assert str(determining_residual(f, HeatEquation(n, INTEGER))) == expected
+
+    def test_perturbed_pair_residual_exact_form(self):
+        eq2 = HeatEquation(2, INTEGER)
+        gens = {g.name: g for g in generators(eq2)}
+        combo = vf_add(gens["G24"].field, gens["G28"].field)
+        bad = VectorField("perturbed", 2, combo.xi0, combo.xi, combo.eta + parse("u^2"))
+        assert str(determining_residual(bad, eq2)) == "-2*u_x^2 - 2*u_y^2"
 
     def test_fractional_regime_rejected(self, g1):
         with pytest.raises(RegimeError) as err:
