@@ -11,6 +11,7 @@ silently adopting either side.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -35,7 +36,7 @@ from .fracnum import (
     rl_derivative_grid,
     rl_integral_values,
 )
-from .prolong import characteristic_expr
+from .prolong import characteristic_expr, onshell_rules
 
 __all__ = [
     "NonlocalError",
@@ -68,7 +69,12 @@ class FormalLagrangian:
 
     @property
     def expr(self) -> Expr:
-        return func_sym("phi") * self.eq.residual_expr()
+        return _lagrangian(self.eq)
+
+
+@lru_cache(maxsize=32)
+def _lagrangian(eq: HeatEquation) -> Expr:
+    return func_sym("phi") * eq.residual_expr()
 
 
 @dataclass(frozen=True)
@@ -179,14 +185,18 @@ def adjoint_residual(eq: HeatEquation) -> AdjointEquation:
     return AdjointEquation(INTEGER, residual, tuple(verified))
 
 
-def onshell_conservation_rules(eq: HeatEquation) -> dict[str, Expr]:
-    """Both shells: u_t -> Lap(u) (and F_t -> Lap(F) for the infinite family)
-    plus the adjoint shell phi_t -> -Lap(phi)."""
-    from .prolong import onshell_rules
-
+@lru_cache(maxsize=32)
+def _onshell_conservation_rules(eq: HeatEquation) -> dict[str, Expr]:
     rules = onshell_rules(eq)
     rules["phi_t"] = -_func_laplacian("phi", eq.n)
     return rules
+
+
+def onshell_conservation_rules(eq: HeatEquation) -> dict[str, Expr]:
+    """Both shells: u_t -> Lap(u) (and F_t -> Lap(F) for the infinite family)
+    plus the adjoint shell phi_t -> -Lap(phi).  Built once per equation; each
+    call returns a fresh dict."""
+    return dict(_onshell_conservation_rules(eq))
 
 
 def divergence_onshell_symbolic(cv: ConservedVector, eq: HeatEquation) -> Expr:

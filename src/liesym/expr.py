@@ -215,8 +215,14 @@ def binding_key(atom: tuple) -> str:
 Monomial = tuple
 
 
-def _mono_key(mono: Monomial) -> tuple:
-    return tuple((_atom_key(a), e) for a, e in mono)
+@functools.cache
+def _pair_key(pair: tuple) -> tuple:
+    # memoised per (atom, exponent): finite alphabet times the exponents in use
+    return (_atom_key(pair[0]), pair[1])
+
+
+def _term_key(term: tuple) -> tuple:
+    return tuple(map(_pair_key, term[0]))
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
@@ -233,7 +239,7 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
             powers.pop(atom, None)
         else:
             powers[atom] = k
-    return tuple(sorted(powers.items(), key=lambda it: _atom_key(it[0])))
+    return tuple(sorted(powers.items(), key=_pair_key))
 
 
 class Expr:
@@ -249,7 +255,7 @@ class Expr:
     @staticmethod
     def _from_map(mapping: dict) -> "Expr":
         items = [(m, c) for m, c in mapping.items() if c != 0]
-        items.sort(key=lambda it: _mono_key(it[0]))
+        items.sort(key=_term_key)
         return Expr(tuple(items))
 
     # -- constructors -------------------------------------------------------
@@ -264,12 +270,17 @@ class Expr:
 
     @staticmethod
     def number(q: Rat) -> "Expr":
-        q = Fraction(q)
+        # integral values are stored as int: int and Fraction agree on ==,
+        # hash and str, so the normal form does not depend on the type
+        if type(q) is not int:
+            q = Fraction(q)
+            if q.denominator == 1:
+                q = q.numerator
         return _ZERO if q == 0 else Expr((((), q),))
 
     @staticmethod
     def from_atom(atom: tuple) -> "Expr":
-        return Expr(((((atom, 1),), Fraction(1)),))
+        return Expr(((((atom, 1),), 1),))
 
     # -- structure ----------------------------------------------------------
 
@@ -302,7 +313,7 @@ class Expr:
         if self.is_zero:
             return Fraction(0)
         if len(self._terms) == 1 and not self._terms[0][0]:
-            return self._terms[0][1]
+            return Fraction(self._terms[0][1])
         raise ExprError(f"not a constant: {self}")
 
     def is_constant(self) -> bool:
@@ -444,7 +455,7 @@ def _coerce(value) -> "Expr":
 
 
 _ZERO = Expr(())
-_ONE = Expr((((), Fraction(1)),))
+_ONE = Expr((((), 1),))
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +581,10 @@ def partial_derivative(e: Expr, sym) -> Expr:
     return Expr._from_map(acc)
 
 
+@functools.cache
 def _atom_total_derivative(atom: tuple, v: str, cap: int) -> Monomial | None:
-    """D_v of a single atom as a monomial, or None when it is constant in v."""
+    """D_v of a single atom as a monomial, or None when it is constant in v.
+    Memoised like _atom_key (an error is raised again on every call)."""
     kind = atom[0]
     if kind == "v":
         return () if atom[1] == v else None
@@ -674,6 +687,67 @@ def _rule_base(atom: tuple, rules: dict) -> tuple | None:
     return candidates[-1]
 
 
+class _CompiledRules:
+    """A rule set resolved once: atom heads, the cycle check, and each
+    atom's replacement (derived through total derivatives) on first use."""
+
+    def __init__(self, rules: tuple, cap: int):
+        self.cap = cap
+        self.base_rules: dict[tuple, Expr] = {}
+        for key, rhs in rules:
+            atom = _resolve_atom(key)
+            if atom[0] not in ("j", "f", "D"):
+                raise SubstitutionError(f"cannot substitute for atom {atom_name(atom)}")
+            self.base_rules[atom] = rhs if isinstance(rhs, Expr) else Expr.number(rhs)
+        self._check_acyclic()
+        self._replacements: dict[tuple, Expr | None] = {}
+
+    def _check_acyclic(self) -> None:
+        """Static cycle check on the rule dependency graph."""
+        edges: dict[tuple, set[tuple]] = {h: set() for h in self.base_rules}
+        for head, rhs in self.base_rules.items():
+            for atom in rhs.atoms():
+                base = _rule_base(atom, self.base_rules)
+                if base is not None:
+                    edges[head].add(base)
+        state: dict[tuple, int] = {}
+
+        def visit(node: tuple):
+            state[node] = 1
+            for nxt in edges[node]:
+                mark = state.get(nxt, 0)
+                if mark == 1:
+                    raise SubstitutionError("cycle detected in substitution rules")
+                if mark == 0:
+                    visit(nxt)
+            state[node] = 2
+
+        for h in edges:
+            if state.get(h, 0) == 0:
+                visit(h)
+
+    def replacement(self, atom: tuple) -> Expr | None:
+        if atom in self._replacements:
+            return self._replacements[atom]
+        base = _rule_base(atom, self.base_rules)
+        if base is None:
+            self._replacements[atom] = None
+            return None
+        a_idx = atom[1] if atom[0] in ("j", "D") else atom[2]
+        b_idx = base[1] if base[0] in ("j", "D") else base[2]
+        out = self.base_rules[base]
+        for v in _multiset_diff(a_idx, b_idx):
+            out = total_derivative(out, v, max_order=self.cap)
+        self._replacements[atom] = out
+        return out
+
+
+@functools.lru_cache(maxsize=32)
+def _compile_rules(rules: tuple, cap: int) -> _CompiledRules:
+    # a rule set that cycles raises here and is not cached
+    return _CompiledRules(rules, cap)
+
+
 def substitute(e: Expr, rules: Mapping, max_order: int | None = None) -> Expr:
     """Replace jet / function / fractional atoms by expressions, repeatedly,
     extending each rule through total derivatives (u_tt rewrites via D_t of
@@ -683,65 +757,12 @@ def substitute(e: Expr, rules: Mapping, max_order: int | None = None) -> Expr:
     reached within the jet-order bound.
     """
     cap = max_jet_order() if max_order is None else max_order
-    base_rules: dict[tuple, Expr] = {}
-    for key, rhs in rules.items():
-        atom = _resolve_atom(key)
-        if atom[0] not in ("j", "f", "D"):
-            raise SubstitutionError(f"cannot substitute for atom {atom_name(atom)}")
-        base_rules[atom] = rhs if isinstance(rhs, Expr) else Expr.number(rhs)
-
-    # static cycle check on the rule dependency graph
-    heads = list(base_rules)
-    edges: dict[tuple, set[tuple]] = {h: set() for h in heads}
-    for head, rhs in base_rules.items():
-        for atom in rhs.atoms():
-            base = _rule_base(atom, base_rules)
-            if base is not None:
-                edges[head].add(base)
-    state: dict[tuple, int] = {}
-
-    def visit(node: tuple):
-        state[node] = 1
-        for nxt in edges[node]:
-            mark = state.get(nxt, 0)
-            if mark == 1:
-                raise SubstitutionError("cycle detected in substitution rules")
-            if mark == 0:
-                visit(nxt)
-        state[node] = 2
-
-    for h in heads:
-        if state.get(h, 0) == 0:
-            visit(h)
-
-    derived_cache: dict[tuple, Expr] = {}
-
-    def replacement(atom: tuple) -> Expr | None:
-        if atom in derived_cache:
-            return derived_cache[atom]
-        base = _rule_base(atom, base_rules)
-        if base is None:
-            derived_cache[atom] = None
-            return None
-        a_idx = atom[1] if atom[0] in ("j", "D") else atom[2]
-        b_idx = base[1] if base[0] in ("j", "D") else base[2]
-        extra = _multiset_diff(a_idx, b_idx)
-        out = base_rules[base]
-        for v in extra:
-            out = total_derivative(out, v, max_order=cap)
-        derived_cache[atom] = out
-        return out
+    replacement = _compile_rules(tuple(rules.items()), cap).replacement
 
     current = e
     for _ in range(cap + 2):
         hit = False
         acc: dict = {}
-
-        def add(expr: Expr, scale: Fraction):
-            for mono, c in expr.terms:
-                prev = acc.get(mono)
-                acc[mono] = c * scale if prev is None else prev + c * scale
-
         for mono, c in current.terms:
             plain: list = []
             factors: list[Expr] = []
@@ -759,7 +780,9 @@ def substitute(e: Expr, rules: Mapping, max_order: int | None = None) -> Expr:
             term = Expr(((tuple(plain), c),))
             for f in factors:
                 term = term * f
-            add(term, Fraction(1))
+            for m, tc in term.terms:
+                prev = acc.get(m)
+                acc[m] = tc if prev is None else prev + tc
         current = Expr._from_map(acc)
         if not hit:
             return current

@@ -294,7 +294,7 @@ def _reduced_basis(basis: tuple[VectorField, ...], dmax: int) -> dict:
             if not vec:
                 continue
             coord = next(iter(vec))
-            inv = 1 / vec[coord]
+            inv = Fraction(1) / vec[coord]  # exact for int entries too
             vec = {key: v * inv for key, v in vec.items()}
             combo = {key: v * inv for key, v in combo.items()}
             for other_vec, other_combo in pivots.values():

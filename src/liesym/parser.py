@@ -19,7 +19,6 @@ fractional-derivative markers used by fractional conserved vectors.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping
 
 from .expr import Expr, ParseError, UnknownSymbolError, _resolve_atom
@@ -170,7 +169,7 @@ class _Parser:
         tok = self.lex.next()
         kind, value, pos = tok
         if kind == "num":
-            return Expr.number(Fraction(int(value)))
+            return Expr.number(int(value))
         if kind == "(":
             e = self.expr()
             self.lex.expect(")")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -97,10 +98,16 @@ def prolong2(f: VectorField, eq: HeatEquation) -> ProlongedField:
     return ProlongedField(f)
 
 
+@lru_cache(maxsize=32)
+def _onshell_rules(eq: HeatEquation) -> dict[str, Expr]:
+    return {"u_t": eq.rhs(), "F_t": _func_laplacian("F", eq.n)}
+
+
 def onshell_rules(eq: HeatEquation) -> dict[str, Expr]:
     """Elimination rules for 'on all solutions': u_t -> Laplacian(u), and the
-    infinite-family symbol F transported the same way."""
-    return {"u_t": eq.rhs(), "F_t": _func_laplacian("F", eq.n)}
+    infinite-family symbol F transported the same way.  Built once per
+    equation; each call returns a fresh dict."""
+    return dict(_onshell_rules(eq))
 
 
 def determining_residual(f: VectorField, eq: HeatEquation) -> Expr:

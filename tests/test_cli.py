@@ -12,6 +12,9 @@ from liesym.cli import RunConfig, main
 # prolongation; the fractional JSON is left out because its rounded floats
 # depend on the BLAS build
 GOLDEN_INTEGER_VERIFY = Path(__file__).parent / "data" / "verify_integer_n1-4_seed7.json"
+# output of `verify --n 5..8 --format json --seed 7`, frozen before integer
+# coefficients and the compiled rule sets
+GOLDEN_INTEGER_VERIFY_5_8 = Path(__file__).parent / "data" / "verify_integer_n5-8_seed7.json"
 
 
 def run_cli(args, capsys):
@@ -100,6 +103,11 @@ class TestVerify:
         code, out = run_cli(["verify", "--n", "1..4", "--format", "json", "--seed", "7"], capsys)
         assert code == 0
         assert out.encode() == GOLDEN_INTEGER_VERIFY.read_bytes()
+
+    def test_integer_json_n5_8_matches_golden(self, capsys):
+        code, out = run_cli(["verify", "--n", "5..8", "--format", "json", "--seed", "7"], capsys)
+        assert code == 0
+        assert out.encode() == GOLDEN_INTEGER_VERIFY_5_8.read_bytes()
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -20,6 +20,7 @@ from liesym.conservation import (
     conserved_vector_latex,
     divergence_numeric_fractional,
     divergence_onshell_symbolic,
+    onshell_conservation_rules,
 )
 from liesym.expr import Expr, substitute
 from liesym.fields import vf_add, vf_scale
@@ -171,6 +172,15 @@ class TestSymbolicDivergence:
         cv = conserved_vector(gf["G03"], eqf, attach_diff=False)
         with pytest.raises(NonlocalError):
             divergence_onshell_symbolic(cv, eqf)
+
+
+def test_onshell_conservation_rules_survive_caller_mutation(eq1):
+    expected = {"u_t": parse("u_{xx}"), "F_t": parse("F_{xx}"), "phi_t": parse("-phi_{xx}")}
+    rules = onshell_conservation_rules(eq1)
+    assert rules == expected
+    rules["u_t"] = parse("u")
+    del rules["phi_t"]
+    assert onshell_conservation_rules(eq1) == expected
 
 
 class TestPrintAudit:

@@ -142,6 +142,30 @@ class TestSubstitute:
         res = substitute(parse("u_t - u_{xx}"), {"u": parse("x^2 + 2*t")})
         assert equals_zero(res)
 
+    def test_cycle_detected_on_every_call(self):
+        # a rule set that cycles is never cached as compiled
+        for _ in range(2):
+            with pytest.raises(SubstitutionError):
+                substitute(parse("u_t"), {"u_t": parse("u_{xy}"), "u_y": parse("u_t")})
+
+    def test_equal_rules_reuse_derived_replacements(self, monkeypatch):
+        import liesym.expr as kernel
+
+        calls = []
+        real = kernel.total_derivative
+
+        def counting(e, v, max_order=None):
+            calls.append(v)
+            return real(e, v, max_order)
+
+        monkeypatch.setattr(kernel, "total_derivative", counting)
+        rhs = parse("u_{xx} + 7*u")
+        first = substitute(parse("u_{txx}"), {"u_t": rhs})
+        assert calls == ["x", "x"]  # u_{txx} -> D_x D_x (u_{xx} + 7*u)
+        second = substitute(parse("u_{txx}"), {"u_t": parse("u_{xx} + 7*u")})
+        assert second == first == parse("u_{xxxx} + 7*u_{xx}")
+        assert calls == ["x", "x"]
+
 
 class TestNormalize:
     def test_square_expansion(self):
@@ -191,7 +215,29 @@ class TestEval:
 @settings(max_examples=120, deadline=None)
 @given(jet_polynomials())
 def test_normalize_idempotent(e):
-    assert parse(str(e)) == e  # printer round trip
+    parsed = parse(str(e))  # printer round trip
+    assert parsed == e
+    assert hash(parsed) == hash(e)
+
+
+@settings(max_examples=120, deadline=None)
+@given(jet_polynomials())
+def test_coefficient_type_is_invisible(e):
+    # Fraction(1, 2) * 2 leaves Fraction coefficients with denominator 1
+    # where e holds ints: ==, hash and str must not tell them apart
+    f = e * Fraction(1, 2) * 2
+    assert f == e
+    assert hash(f) == hash(e)
+    assert str(f) == str(e)
+
+
+def test_integral_numbers_are_stored_as_int():
+    for q in (Fraction(4, 2), 2, Fraction(-6, 3)):
+        ((mono, c),) = Expr.number(q).terms
+        assert mono == () and type(c) is int and c == q
+    ((_, half),) = Expr.number(Fraction(2, 4)).terms
+    assert half == Fraction(1, 2) and type(half) is Fraction
+    assert type(Expr.number(Fraction(3, 1)).as_fraction()) is Fraction
 
 
 @settings(max_examples=80, deadline=None)

@@ -124,6 +124,16 @@ def test_random_combinations_decompose_back(n, regime):
         assert decompose_in_basis(f, basis).coeffs == coeffs
 
 
+@pytest.mark.parametrize("pivot", [2, 3, -6])
+def test_integral_pivot_inverts_exactly(pivot):
+    # the basis holds int coefficients; its pivot must be inverted as a
+    # Fraction, not a float (1/3 has no exact binary form)
+    d_x = VectorField("d_x", 1, Expr.zero(), (Expr.one(),), Expr.zero())
+    dec = decompose_in_basis(d_x, [vf_scale(pivot, d_x, name="B")])
+    assert dec.coeffs == {"B": Expr.number(Fraction(1, pivot))}
+    assert dec.coeffs["B"].as_fraction() == Fraction(1, pivot)
+
+
 class TestDependentBasis:
     """Unknowns of basis vectors that depend on earlier ones stay zero."""
 

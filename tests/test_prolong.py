@@ -15,6 +15,7 @@ from liesym.prolong import (
     characteristic_expr,
     determining_residual,
     exponentiate_catalog,
+    onshell_rules,
     prolong2,
 )
 
@@ -124,6 +125,16 @@ class TestDeterminingResidual:
         with pytest.raises(RegimeError) as err:
             determining_residual(g1["G4"].field, HeatEquation(1, FRACTIONAL))
         assert "integer regime" in str(err.value)
+
+
+def test_onshell_rules_survive_caller_mutation():
+    eq = HeatEquation(2, INTEGER)
+    expected = {"u_t": parse("u_{xx} + u_{yy}"), "F_t": parse("F_{xx} + F_{yy}")}
+    rules = onshell_rules(eq)
+    assert rules == expected
+    rules["u_t"] = parse("0")
+    rules["phi_t"] = parse("x")
+    assert onshell_rules(eq) == expected
 
 
 class TestCharacteristic:
