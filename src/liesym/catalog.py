@@ -1,19 +1,23 @@
 """Generator catalogs, counting formulas, and exact solution families for the
 n-dimensional heat equation in the integer and time-fractional regimes.
 
-For n <= 4 the catalogs reproduce the published reference lists verbatim,
-entry for entry and in the printed order, so regression fixtures diff
-cleanly; corrections of evident misprints carry a provenance note on the
-generator.  For n >= 5 the n-dimensional families are instantiated.
+Every catalog is built from one definition of the n-dimensional families:
+(n^2+3n+10)/2 integer and (n^2+n+6)/2 fractional point symmetries.  For
+n >= 5 the families are the catalog.  For n <= 4 the published reference
+lists are named views of them: each printed entry is a family member under
+its printed name, in the printed order, with the printed sign.  Two printed
+fractional dilations are combinations of the family's D and H:
+G02 = D + (1-alpha)*H and G14 = 2*D + alpha*H.  Corrections of evident
+misprints carry a provenance note on the generator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-from .expr import Expr, spatial_name, spatial_names, frac_deriv, jet, substitute
-from .fields import VectorField
+from .expr import Expr, spatial_names, frac_deriv, jet, substitute
+from .fields import VectorField, vf_add, vf_scale
 from .parser import parse
 
 __all__ = [
@@ -105,15 +109,9 @@ def count_formula(n: int, regime: str) -> int:
     raise ValueError(f"regime must be one of {REGIMES}")
 
 
-def _vf(name: str, n: int, xi0: str = "0", eta: str = "0", **spatial: str) -> VectorField:
-    xi = []
-    for i in range(1, n + 1):
-        xi.append(parse(spatial.get(spatial_name(i), "0")))
-    return VectorField(name, n, parse(xi0), tuple(xi), parse(eta))
-
-
 def _g(name, klass, n, xi0="0", eta="0", note="", **spatial) -> NamedGenerator:
-    return NamedGenerator(_vf(name, n, xi0, eta, **spatial), klass, note)
+    xi = tuple(parse(spatial[v]) if v in spatial else Expr.zero() for v in spatial_names(n))
+    return NamedGenerator(VectorField(name, n, parse(xi0), xi, parse(eta)), klass, note)
 
 
 _ROTATION_FIX = (
@@ -129,122 +127,6 @@ _ETA_2D_NOTE = (
     "not follow the u(alpha-1) pattern of the 3D/4D lists; kept verbatim, "
     "unverified symbolically (no fractional prolongation in scope)"
 )
-
-
-def _integer_low_dim(n: int) -> list[NamedGenerator]:
-    if n == 1:
-        return [
-            _g("G1", "space-translation", 1, x="1"),
-            _g("G2", "solution", 1, x="2*t", eta="-u*x"),
-            _g("G3", "time-translation", 1, xi0="1"),
-            _g("G4", "dilation", 1, xi0="2*t", x="x"),
-            _g("G5", "projective", 1, xi0="4*t^2", x="4*t*x", eta="-u*(2*t+x^2)"),
-            _g("G6", "homogeneity", 1, eta="u"),
-            _g("G7", "infinite", 1, eta="F"),
-        ]
-    if n == 2:
-        return [
-            _g("G21", "space-translation", 2, x="1"),
-            _g("G22", "space-translation", 2, y="1"),
-            _g("G23", "solution", 2, y="2*t", eta="-u*y"),
-            _g("G24", "solution", 2, x="2*t", eta="-u*x"),
-            _g("G25", "rotation", 2, x="y", y="-x"),
-            _g("G26", "time-translation", 2, xi0="1"),
-            _g("G27", "dilation", 2, xi0="2*t", x="x", y="y"),
-            _g("G28", "projective", 2, xi0="4*t^2", x="4*x*t", y="4*y*t",
-               eta="-u*(4*t+x^2+y^2)"),
-            _g("G29", "homogeneity", 2, eta="u"),
-            _g("G210", "infinite", 2, eta="F"),
-        ]
-    if n == 3:
-        return [
-            _g("G31", "space-translation", 3, x="1"),
-            _g("G32", "space-translation", 3, y="1"),
-            _g("G33", "space-translation", 3, z="1"),
-            _g("G34", "solution", 3, y="2*t", eta="-u*y"),
-            _g("G35", "solution", 3, x="2*t", eta="-u*x"),
-            _g("G36", "solution", 3, z="2*t", eta="-u*z"),
-            _g("G37", "rotation", 3, x="-y", y="x"),
-            _g("G38", "rotation", 3, x="-z", z="x"),
-            _g("G39", "rotation", 3, y="-z", z="y"),
-            _g("G310", "time-translation", 3, xi0="1"),
-            _g("G311", "dilation", 3, xi0="2*t", x="x", y="y", z="z"),
-            _g("G312", "projective", 3, xi0="4*t^2", x="4*x*t", y="4*y*t", z="4*z*t",
-               eta="-u*(6*t+x^2+y^2+z^2)"),
-            _g("G313", "homogeneity", 3, eta="u"),
-            _g("G314", "infinite", 3, eta="F"),
-        ]
-    return [
-        _g("G51", "space-translation", 4, x="1"),
-        _g("G52", "space-translation", 4, y="1"),
-        _g("G53", "space-translation", 4, z="1"),
-        _g("G54", "space-translation", 4, w="1"),
-        _g("G55", "solution", 4, y="2*t", eta="-u*y"),
-        _g("G56", "solution", 4, x="2*t", eta="-u*x"),
-        _g("G57", "solution", 4, z="2*t", eta="-u*z"),
-        _g("G58", "solution", 4, w="2*t", eta="-u*w"),
-        _g("G59", "rotation", 4, x="-y", y="x"),
-        _g("G510", "rotation", 4, y="-w", w="y"),
-        _g("G511", "rotation", 4, y="-z", z="y"),
-        _g("G512", "rotation", 4, x="-z", z="x"),
-        _g("G513", "rotation", 4, x="-w", w="x"),
-        _g("G514", "rotation", 4, z="-w", w="z"),
-        _g("G515", "time-translation", 4, xi0="1"),
-        _g("G516", "dilation", 4, xi0="2*t", x="x", y="y", z="z", w="w"),
-        _g("G517", "projective", 4, xi0="4*t^2", x="4*x*t", y="4*y*t", z="4*z*t", w="4*w*t",
-           eta="-u*(8*t+x^2+y^2+z^2+w^2)"),
-        _g("G518", "homogeneity", 4, eta="u"),
-        _g("G519", "infinite", 4, eta="F"),
-    ]
-
-
-def _fractional_low_dim(n: int) -> list[NamedGenerator]:
-    if n == 1:
-        return [
-            _g("G01", "space-translation", 1, x="1"),
-            _g("G02", "dilation", 1, xi0="2*t", x="alpha*x"),
-            _g("G03", "homogeneity", 1, eta="u"),
-            _g("G04", "infinite", 1, eta="F"),
-        ]
-    if n == 2:
-        return [
-            _g("G11", "space-translation", 2, x="1"),
-            _g("G12", "space-translation", 2, y="1"),
-            _g("G13", "rotation", 2, x="y", y="-x"),
-            _g("G14", "dilation", 2, xi0="4*t", x="2*alpha*x", y="2*alpha*y",
-               eta="u*(3*alpha-2)", note=_ETA_2D_NOTE),
-            _g("G15", "homogeneity", 2, eta="u"),
-            _g("G16", "infinite", 2, eta="F"),
-        ]
-    if n == 3:
-        return [
-            _g("G41", "space-translation", 3, x="1"),
-            _g("G42", "space-translation", 3, y="1"),
-            _g("G43", "space-translation", 3, z="1"),
-            _g("G44", "rotation", 3, x="-y", y="x"),
-            _g("G45", "rotation", 3, y="z", z="-y"),
-            _g("G46", "rotation", 3, x="z", z="-x"),
-            _g("G47", "dilation", 3, xi0="2*t", x="alpha*x", y="alpha*y", z="alpha*z",
-               eta="u*(alpha-1)"),
-            _g("G48", "homogeneity", 3, eta="u"),
-            _g("G49", "infinite", 3, eta="F"),
-        ]
-    return [
-        _g("G61", "space-translation", 4, x="1"),
-        _g("G62", "space-translation", 4, y="1"),
-        _g("G63", "space-translation", 4, z="1"),
-        _g("G64", "space-translation", 4, w="1"),
-        _g("G65", "rotation", 4, x="-y", y="x"),
-        _g("G66", "rotation", 4, y="z", z="-y"),
-        _g("G67", "rotation", 4, y="-w", w="y"),
-        _g("G68", "rotation", 4, x="z", z="-x"),
-        _g("G69", "rotation", 4, x="-w", w="x"),
-        _g("G610", "rotation", 4, z="-w", w="z"),
-        _g("G611", "dilation", 4, xi0="2*t", x="alpha*x", y="alpha*y", z="alpha*z",
-           w="alpha*w", eta="u*(alpha-1)"),
-        _g("G612", "homogeneity", 4, eta="u"),
-        _g("G613", "infinite", 4, eta="F"),
-    ]
 
 
 def _family(n: int, regime: str) -> list[NamedGenerator]:
@@ -283,10 +165,76 @@ def _family(n: int, regime: str) -> list[NamedGenerator]:
     return out
 
 
+# The printed n <= 4 lists, in printed order: (printed name, family member,
+# sign).  "D+(1-alpha)H" and "2D+alpha*H" are the printed fractional 1D and
+# 2D dilations, built from the family's D and H in _printed_view.
+_PRINTED = {
+    (1, INTEGER): (
+        ("G1", "T1", 1), ("G2", "B1", 1), ("G3", "Tt", 1), ("G4", "D", 1),
+        ("G5", "P", 1), ("G6", "H", 1), ("G7", "Finf", 1),
+    ),
+    (2, INTEGER): (
+        ("G21", "T1", 1), ("G22", "T2", 1), ("G23", "B2", 1), ("G24", "B1", 1),
+        ("G25", "R1_2", -1), ("G26", "Tt", 1), ("G27", "D", 1), ("G28", "P", 1),
+        ("G29", "H", 1), ("G210", "Finf", 1),
+    ),
+    (3, INTEGER): (
+        ("G31", "T1", 1), ("G32", "T2", 1), ("G33", "T3", 1), ("G34", "B2", 1),
+        ("G35", "B1", 1), ("G36", "B3", 1), ("G37", "R1_2", 1), ("G38", "R1_3", 1),
+        ("G39", "R2_3", 1), ("G310", "Tt", 1), ("G311", "D", 1), ("G312", "P", 1),
+        ("G313", "H", 1), ("G314", "Finf", 1),
+    ),
+    (4, INTEGER): (
+        ("G51", "T1", 1), ("G52", "T2", 1), ("G53", "T3", 1), ("G54", "T4", 1),
+        ("G55", "B2", 1), ("G56", "B1", 1), ("G57", "B3", 1), ("G58", "B4", 1),
+        ("G59", "R1_2", 1), ("G510", "R2_4", 1), ("G511", "R2_3", 1),
+        ("G512", "R1_3", 1), ("G513", "R1_4", 1), ("G514", "R3_4", 1),
+        ("G515", "Tt", 1), ("G516", "D", 1), ("G517", "P", 1), ("G518", "H", 1),
+        ("G519", "Finf", 1),
+    ),
+    (1, FRACTIONAL): (
+        ("G01", "T1", 1), ("G02", "D+(1-alpha)H", 1), ("G03", "H", 1),
+        ("G04", "Finf", 1),
+    ),
+    (2, FRACTIONAL): (
+        ("G11", "T1", 1), ("G12", "T2", 1), ("G13", "R1_2", -1),
+        ("G14", "2D+alpha*H", 1), ("G15", "H", 1), ("G16", "Finf", 1),
+    ),
+    (3, FRACTIONAL): (
+        ("G41", "T1", 1), ("G42", "T2", 1), ("G43", "T3", 1), ("G44", "R1_2", 1),
+        ("G45", "R2_3", -1), ("G46", "R1_3", -1), ("G47", "D", 1), ("G48", "H", 1),
+        ("G49", "Finf", 1),
+    ),
+    (4, FRACTIONAL): (
+        ("G61", "T1", 1), ("G62", "T2", 1), ("G63", "T3", 1), ("G64", "T4", 1),
+        ("G65", "R1_2", 1), ("G66", "R2_3", -1), ("G67", "R2_4", 1),
+        ("G68", "R1_3", -1), ("G69", "R1_4", 1), ("G610", "R3_4", 1),
+        ("G611", "D", 1), ("G612", "H", 1), ("G613", "Finf", 1),
+    ),
+}
+_PRINTED_NOTES = {"G14": _ETA_2D_NOTE}
+
+
+def _printed_view(n: int, regime: str) -> list[NamedGenerator]:
+    members = {g.name: g for g in _family(n, regime)}
+    if regime == FRACTIONAL:
+        d, h = members["D"].field, members["H"].field
+        a = parse("alpha")
+        members["D+(1-alpha)H"] = NamedGenerator(vf_add(d, vf_scale(1 - a, h)), "dilation")
+        members["2D+alpha*H"] = NamedGenerator(vf_add(vf_scale(2, d), vf_scale(a, h)), "dilation")
+    out = []
+    for name, member, sign in _PRINTED[n, regime]:
+        g = members[member]
+        field = replace(g.field, name=name) if sign > 0 else vf_scale(sign, g.field, name)
+        out.append(NamedGenerator(field, g.klass, _PRINTED_NOTES.get(name, "")))
+    return out
+
+
 def generators(eq: HeatEquation) -> list[NamedGenerator]:
-    """Full point-symmetry catalog of eq, in the reference order for n <= 4."""
+    """Full point-symmetry catalog of eq: the n-dimensional family, seen
+    through the printed names, order and signs for n <= 4."""
     if eq.n <= 4:
-        gens = _integer_low_dim(eq.n) if eq.regime == INTEGER else _fractional_low_dim(eq.n)
+        gens = _printed_view(eq.n, eq.regime)
     else:
         gens = _family(eq.n, eq.regime)
     assert len(gens) == count_formula(eq.n, eq.regime)

@@ -299,16 +299,6 @@ class Expr:
                 out.add(atom)
         return out
 
-    def jet_order(self) -> int:
-        """Highest derivative order among jet/function atoms (0 if none)."""
-        best = 0
-        for atom in self.atoms():
-            if atom[0] == "j":
-                best = max(best, len(atom[1]))
-            elif atom[0] == "f":
-                best = max(best, len(atom[2]))
-        return best
-
     def as_fraction(self) -> Fraction:
         if self.is_zero:
             return Fraction(0)

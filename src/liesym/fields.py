@@ -31,7 +31,6 @@ __all__ = [
     "field_apply",
     "vf_add",
     "vf_scale",
-    "vf_zero",
     "Decomposition",
     "decompose_in_basis",
     "CommutatorTable",
@@ -100,11 +99,6 @@ class VectorField:
             if not coeff.is_zero:
                 parts.append(f"({coeff})*d_{vn}")
         return f"{self.name}: " + (" + ".join(parts) if parts else "0")
-
-
-def vf_zero(n: int, name: str = "0") -> VectorField:
-    z = Expr.zero()
-    return VectorField(name, n, z, (z,) * n, z)
 
 
 def vf_add(a: VectorField, b: VectorField, name: str | None = None) -> VectorField:

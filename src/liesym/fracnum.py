@@ -53,15 +53,12 @@ class FracDerivSpec:
 
     alpha: float
     scheme: str = "gl"  # "gl" | "l1"
-    direction: str = "left"  # "left" (from 0) | "right" (to T)
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise GridError(f"alpha must lie in (0, 1): {self.alpha}")
         if self.scheme not in ("gl", "l1"):
             raise GridError(f"unknown scheme {self.scheme!r}")
-        if self.direction not in ("left", "right"):
-            raise GridError(f"unknown direction {self.direction!r}")
 
 
 @dataclass(frozen=True)
@@ -189,12 +186,10 @@ def rl_derivative_grid(u: GridFunction, spec: FracDerivSpec) -> GridFunction:
     scheme).  First-order accurate away from t = 0 for data that is smooth
     plus a t^(alpha-1) kernel part; values near t = 0 are unreliable when the
     data is singular there."""
-    if spec.direction != "left":
-        raise GridError("rl_derivative_grid computes the left derivative")
     a = spec.alpha
     if spec.scheme == "gl":
-        w = gl_weights(a, u.K)
-        vals = _causal_convolve(w, u.values) / u.dt ** a
+        vals = _causal_convolve(gl_weights(a, u.K), u.values)
+        vals /= u.dt ** a
     else:
         vals = _l1_left(u, a)
     return replace(u, values=vals)
@@ -202,8 +197,6 @@ def rl_derivative_grid(u: GridFunction, spec: FracDerivSpec) -> GridFunction:
 
 def right_rl_derivative_grid(u: GridFunction, spec: FracDerivSpec) -> GridFunction:
     """Right Riemann-Liouville derivative (terminal T), mirrored GL sum."""
-    if spec.direction != "right":
-        raise GridError("right_rl_derivative_grid computes the right derivative")
     a = spec.alpha
     if spec.scheme == "gl":
         w = gl_weights(a, u.K)
@@ -221,13 +214,16 @@ def _l1_left(u: GridFunction, a: float) -> np.ndarray:
     K = u.K
     dt = u.dt
     flat = u.values.reshape(K + 1, -1)
-    out = np.zeros_like(flat)
     j = np.arange(K + 1)
     b = (j[1:] ** (1.0 - a) - j[:-1] ** (1.0 - a))  # b_0..b_{K-1}
     g = math.gamma(2.0 - a)
     # out[k] = sum_{m<k} b_{k-1-m} (v_{m+1} - v_m): the convolution of b with
-    # the differences, shifted down one row
-    out[1:] = _causal_convolve(b, np.diff(flat, axis=0))
+    # the differences, shifted down one row; the differences are freed before
+    # the output grid is allocated, and the convolution before the t=0 term
+    conv = _causal_convolve(b, np.diff(flat, axis=0))
+    out = np.zeros_like(flat)
+    out[1:] = conv
+    del conv
     out /= g * dt ** a
     t = np.maximum(j * dt, dt)  # guard t=0; that row is unreliable anyway
     out += flat[0] * (t ** (-a) / math.gamma(1.0 - a))[:, None]
@@ -342,7 +338,13 @@ def _laplacian(vals: np.ndarray, steps: Sequence[float]) -> np.ndarray:
         sl[ax] = slice(1, -1)
         lo[ax] = slice(0, -2)
         hi[ax] = slice(2, None)
-        lap[tuple(sl)] += (vals[tuple(hi)] - 2.0 * vals[tuple(sl)] + vals[tuple(lo)]) / h ** 2
+        # (hi - 2*mid + lo) / h^2 in one temporary, freed before the next axis
+        tmp = 2.0 * vals[tuple(sl)]
+        np.subtract(vals[tuple(hi)], tmp, out=tmp)
+        tmp += vals[tuple(lo)]
+        tmp /= h ** 2
+        lap[tuple(sl)] += tmp
+        del tmp
         # boundary slices along this axis are not evaluated; callers restrict
         # to the interior
     return lap
@@ -362,10 +364,12 @@ def residual_on_grid(
         raise GridError(f"grid has {u.values.ndim - 1} spatial axes, equation has n={eq.n}")
     if min(u.values.shape) < 16:
         raise GridError("grid too coarse: need at least 16 points per axis")
-    spec = FracDerivSpec(alpha, scheme=scheme)
-    dalpha = rl_derivative_grid(u, spec).values
+    # Laplacian first, then the time derivative, and the difference in place:
+    # at most two grid-sized arrays are alive at once
     lap = _laplacian(u.values, u.spatial_steps)
-    res = np.abs(dalpha - lap)
+    res = rl_derivative_grid(u, FracDerivSpec(alpha, scheme=scheme)).values
+    res -= lap
+    np.abs(res, out=res)
     interior = [slice(None)] * res.ndim
     for ax in range(1, res.ndim):
         interior[ax] = slice(1, -1)

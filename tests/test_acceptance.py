@@ -257,7 +257,7 @@ def test_7_fractional_calculus_kernels():
         gr = GridFunction.sample(
             lambda t, xs: np.where(t < 1.0, 1.0 - t, np.inf) ** (alpha - 1.0), 1.0, K)
         rk = float(np.max(np.abs(
-            right_rl_derivative_grid(gr, FracDerivSpec(alpha, direction="right"))
+            right_rl_derivative_grid(gr, FracDerivSpec(alpha))
             .values[gr.t_axis() <= 0.9])))
         if left_prev is not None:
             trend_ok &= lk < left_prev and rk < right_prev

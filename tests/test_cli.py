@@ -15,6 +15,11 @@ GOLDEN_INTEGER_VERIFY = Path(__file__).parent / "data" / "verify_integer_n1-4_se
 # output of `verify --n 5..8 --format json --seed 7`, frozen before integer
 # coefficients and the compiled rule sets
 GOLDEN_INTEGER_VERIFY_5_8 = Path(__file__).parent / "data" / "verify_integer_n5-8_seed7.json"
+# output of `gen --n 5..6 --regime <regime> --format json`, frozen while the
+# printed n <= 4 lists were still written out by hand; every n now builds
+# from these families
+GOLDEN_FAMILY_GEN = {r: Path(__file__).parent / "data" / f"gen_{r}_n5-6.json"
+                     for r in ("integer", "fractional")}
 
 
 def run_cli(args, capsys):
@@ -52,6 +57,13 @@ class TestGen:
     def test_latex(self, capsys):
         code, out = run_cli(["gen", "--n", "1", "--format", "latex"], capsys)
         assert r"\Gamma_{4}" in out
+
+    @pytest.mark.parametrize("regime", sorted(GOLDEN_FAMILY_GEN))
+    def test_family_json_n5_6_matches_golden(self, regime, capsys):
+        code, out = run_cli(["gen", "--n", "5..6", "--regime", regime,
+                             "--format", "json"], capsys)
+        assert code == 0
+        assert out.encode() == GOLDEN_FAMILY_GEN[regime].read_bytes()
 
 
 class TestBrackets:
@@ -118,22 +130,27 @@ class TestVerify:
         assert a.read_bytes() == b.read_bytes()
 
     def test_corrupted_fixture_exits_one(self, capsys, monkeypatch):
-        # corrupting a generator catalog entry must surface as exit code 1
+        # corrupting a generator catalog entry must surface as exit code 1; the
+        # bracket audit reads the catalog through its own import, so both
+        # importers see the corrupted entry
+        import liesym.audit as audit
         import liesym.catalog as catalog
+        import liesym.cli as cli
         from liesym import parse
         from liesym.fields import VectorField
 
-        original = catalog._fractional_low_dim
+        original = cli.generators
 
-        def corrupted(n):
-            gens = original(n)
-            if n == 1:
+        def corrupted(eq):
+            gens = original(eq)
+            if eq.n == 1 and eq.is_fractional:
                 bad_field = VectorField("G02", 1, parse("2*t"), (parse("x"),),
                                         parse("0"))  # dropped the alpha weight
                 gens[1] = catalog.NamedGenerator(bad_field, "dilation")
             return gens
 
-        monkeypatch.setattr(catalog, "_fractional_low_dim", corrupted)
+        monkeypatch.setattr(cli, "generators", corrupted)
+        monkeypatch.setattr(audit, "generators", corrupted)
         code = main(["verify", "--n", "1", "--regime", "fractional",
                      "--grid", "64"])
         capsys.readouterr()

@@ -146,7 +146,7 @@ class TestAdjoint:
         for K in (500, 1000):
             g = GridFunction.sample(
                 lambda t, xs: np.where(t < Tloc, Tloc - t, np.inf) ** (alpha - 1.0), Tloc, K)
-            d = right_rl_derivative_grid(g, FracDerivSpec(alpha, direction="right"))
+            d = right_rl_derivative_grid(g, FracDerivSpec(alpha))
             m = float(np.max(np.abs(d.values[g.t_axis() <= 0.9])))
             if prev is not None:
                 assert m < prev

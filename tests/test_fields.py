@@ -23,7 +23,6 @@ from liesym.fields import (
     match_canonical,
     vf_add,
     vf_scale,
-    vf_zero,
 )
 
 from .strategies import point_fields
@@ -113,7 +112,7 @@ def test_random_combinations_decompose_back(n, regime):
     rng = random.Random(1000 * n + len(regime))
     for _ in range(3):
         coeffs = {}
-        f = vf_zero(n)
+        f = VectorField("0", n, Expr.zero(), (Expr.zero(),) * n, Expr.zero())
         for b in basis:
             if rng.random() < 0.5:
                 continue
@@ -312,6 +311,6 @@ def test_antisymmetry_random(a, b):
 
 
 def test_zero_field_helpers():
-    z = vf_zero(2)
+    z = VectorField("0", 2, Expr.zero(), (Expr.zero(),) * 2, Expr.zero())
     assert z.is_zero()
     assert vf_add(z, z).is_zero()

@@ -133,7 +133,7 @@ class TestCausalConvolve:
         for w, left, right in [
             (gl_weights(a, K - 1),
              rl_derivative_grid(u, FracDerivSpec(a)).values,
-             right_rl_derivative_grid(u, FracDerivSpec(a, direction="right")).values),
+             right_rl_derivative_grid(u, FracDerivSpec(a)).values),
             (_gl_integral_weights(a, K - 1),
              rl_integral_values(u, a), right_rl_integral_values(u, a)),
         ]:
@@ -205,11 +205,6 @@ class TestLeftDerivative:
                                - exact[mask]))
         assert err_l1 < err_gl
 
-    def test_direction_guard(self):
-        g = GridFunction(0.01, np.zeros(101))
-        with pytest.raises(GridError):
-            rl_derivative_grid(g, FracDerivSpec(0.5, direction="right"))
-
 
 class TestRightDerivative:
     def test_right_kernel_refines_to_zero(self):
@@ -218,7 +213,7 @@ class TestRightDerivative:
         for K in (500, 1000, 2000):
             g = GridFunction.sample(
                 lambda t, xs: np.where(t < T, T - t, np.inf) ** (alpha - 1.0), T, K)
-            d = right_rl_derivative_grid(g, FracDerivSpec(alpha, direction="right"))
+            d = right_rl_derivative_grid(g, FracDerivSpec(alpha))
             t = g.t_axis()
             m = float(np.max(np.abs(d.values[t <= 0.9])))
             if prev is not None:
@@ -231,13 +226,13 @@ class TestRightDerivative:
         g = GridFunction.sample(lambda t, xs: t * (1 + t), T, K)
         left = rl_derivative_grid(g, FracDerivSpec(alpha)).values
         refl = GridFunction(g.dt, g.values[::-1].copy())
-        right = right_rl_derivative_grid(refl, FracDerivSpec(alpha, direction="right")).values
+        right = right_rl_derivative_grid(refl, FracDerivSpec(alpha)).values
         assert np.max(np.abs(right[::-1] - left)) < 1e-10
 
     def test_power_rule_by_reflection(self):
         alpha, T, K = 0.5, 1.0, 1000
         g = GridFunction.sample(lambda t, xs: T - t, T, K)
-        d = right_rl_derivative_grid(g, FracDerivSpec(alpha, direction="right"))
+        d = right_rl_derivative_grid(g, FracDerivSpec(alpha))
         t = g.t_axis()
         exact = math.gamma(2.0) / math.gamma(1.5) * np.sqrt(np.maximum(T - t, 0.0))
         mask = t <= 0.9
@@ -347,6 +342,22 @@ class TestResidualOnGrid:
         g = GridFunction(0.1, np.zeros((11, 17)), (0.0,), (0.1,))
         with pytest.raises(GridError):
             residual_on_grid(eq, g, 0.5)
+
+    def test_peak_memory_within_three_grids(self):
+        # the Laplacian, the time derivative and their difference need only
+        # two grid-sized arrays; out-of-place arithmetic held four
+        import tracemalloc
+
+        eq = HeatEquation(3, FRACTIONAL)
+        vals = np.random.default_rng(3).standard_normal((129, 17, 17, 17))
+        g = GridFunction(1.0 / 128, vals, (0.0,) * 3, (1.0 / 16,) * 3)
+        tracemalloc.start()
+        try:
+            residual_on_grid(eq, g, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * vals.nbytes
 
 
 class TestJQuadrature:
