@@ -14,6 +14,7 @@ misprints carry a provenance note on the generator.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .expr import Expr, spatial_names, frac_deriv, jet, substitute
@@ -232,13 +233,19 @@ def _printed_view(n: int, regime: str) -> list[NamedGenerator]:
 
 def generators(eq: HeatEquation) -> list[NamedGenerator]:
     """Full point-symmetry catalog of eq: the n-dimensional family, seen
-    through the printed names, order and signs for n <= 4."""
+    through the printed names, order and signs for n <= 4.  The catalog is
+    built once per equation; each call returns a fresh list."""
+    return list(_catalog(eq))
+
+
+@lru_cache(maxsize=32)
+def _catalog(eq: HeatEquation) -> tuple[NamedGenerator, ...]:
     if eq.n <= 4:
         gens = _printed_view(eq.n, eq.regime)
     else:
         gens = _family(eq.n, eq.regime)
     assert len(gens) == count_formula(eq.n, eq.regime)
-    return gens
+    return tuple(gens)
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +295,6 @@ def exact_solutions(eq: HeatEquation, k: float = 1.0) -> list[ExactSolution]:
                           note="exp(t+x), outside the polynomial ring"),
             ExactSolution("kernel", INTEGER, n, kernel, note=kernel_note),
         ]
-
-    from functools import lru_cache
 
     from .fracnum import mittag_leffler
 

@@ -295,6 +295,17 @@ def _verify_report(cfg: RunConfig) -> dict:
                 {"unexpected": sorted(map(list, mismatch_keys - set(allowed))),
                  "missing": sorted(map(list, set(allowed) - mismatch_keys))})
 
+        divergences = []
+        for g in gens:
+            cv = conserved_vector(g, eq)
+            discrepancies.extend(
+                {"dimension": n, "regime": cfg.regime, "kind": "conserved",
+                 "symmetry": g.name, **d} for d in cv.paper_diff
+            )
+            if cfg.regime == INTEGER:
+                div = divergence_onshell_symbolic(cv, eq)
+                divergences.append({"name": g.name, "divergence_zero": div.is_zero})
+
         if cfg.regime == INTEGER:
             residuals = []
             for g in gens:
@@ -314,28 +325,12 @@ def _verify_report(cfg: RunConfig) -> dict:
                                   combo.eta + noise)
                 perturbed_ok &= not determining_residual(bad, eq).is_zero
             add(f"perturbed_fields_nonzero[n={n}]", perturbed_ok)
-
-            divergences = []
-            for g in gens:
-                cv = conserved_vector(g, eq)
-                div = divergence_onshell_symbolic(cv, eq)
-                divergences.append({"name": g.name, "divergence_zero": div.is_zero})
-                discrepancies.extend(
-                    {"dimension": n, "regime": cfg.regime, "kind": "conserved",
-                     "symmetry": g.name, **d} for d in cv.paper_diff
-                )
             add(f"conservation_divergences[n={n}]",
                 all(d["divergence_zero"] for d in divergences), {"per_generator": divergences})
         else:
             from .fracnum import invariance_check
             from .prolong import UnsupportedFlowError, exponentiate_catalog
 
-            for g in gens:
-                cv = conserved_vector(g, eq)
-                discrepancies.extend(
-                    {"dimension": n, "regime": cfg.regime, "kind": "conserved",
-                     "symmetry": g.name, **d} for d in cv.paper_diff
-                )
             if n <= 3:
                 sol = exact_solutions(eq, k=1.0)[2]
                 spatial = tuple((-1.5, 1.5, 25) for _ in range(n))

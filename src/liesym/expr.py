@@ -56,7 +56,6 @@ __all__ = [
     "equals_zero",
     "eval_numeric",
     "max_jet_order",
-    "set_max_jet_order",
     "to_latex",
 ]
 
@@ -97,16 +96,6 @@ _MAX_JET_ORDER = 4
 
 def max_jet_order() -> int:
     return _MAX_JET_ORDER
-
-
-def set_max_jet_order(order: int) -> int:
-    """Set the jet-order cap (returns the previous value)."""
-    global _MAX_JET_ORDER
-    if order < 1:
-        raise ValueError("jet order cap must be >= 1")
-    old = _MAX_JET_ORDER
-    _MAX_JET_ORDER = order
-    return old
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +317,8 @@ class Expr:
     __radd__ = __add__
 
     def __neg__(self):
+        if not self._terms:
+            return self  # keeps zero the shared _ZERO, as __mul__ and number() do
         return Expr(tuple((m, -c) for m, c in self._terms))
 
     def __sub__(self, other):

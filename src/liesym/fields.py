@@ -3,7 +3,9 @@
 Vector fields are stored by their coefficients (xi0, xi_1..xi_n, eta) as
 exact expressions in (t, x_i, u); brackets, commutator tables, basis
 decompositions, derived series, and canonical structure-constant matching
-(so(n), sl(2,R)) are all computed exactly over rationals-in-alpha.
+(so(n), sl(2,R)) are all computed exactly.  Every polynomial in alpha is an
+Expr: decompositions solve over Q in coordinates read from its terms, and the
+derived series ranks structure constants over Q(alpha) on Expr entries.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from typing import Sequence
 from .expr import (
     Expr,
     ExprError,
+    Rat,
+    alpha,
     equals_zero,
     partial_derivative,
     point_derivative,
@@ -35,7 +39,6 @@ __all__ = [
     "decompose_in_basis",
     "CommutatorTable",
     "commutator_table",
-    "StructureConstants",
     "ClosureReport",
     "closure_report",
     "derived_series",
@@ -148,102 +151,25 @@ def lie_bracket(A: VectorField, B: VectorField) -> VectorField:
 
 
 # ---------------------------------------------------------------------------
-# alpha-polynomial helpers (coefficients of basis decompositions)
+# basis decompositions (coefficients are polynomials in alpha)
 # ---------------------------------------------------------------------------
 
-Poly = tuple  # tuple of Fractions, index = power of alpha, no trailing zeros
+_ALPHA = ("a",)
 
 
-def poly_trim(cs: Sequence[Fraction]) -> Poly:
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def poly_add(a: Poly, b: Poly) -> Poly:
-    m = max(len(a), len(b))
-    return poly_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(m)])
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return poly_trim(out)
-
-
-def poly_neg(a: Poly) -> Poly:
-    return tuple(-c for c in a)
-
-
-def poly_to_expr(a: Poly) -> Expr:
-    from .expr import alpha
-
-    out = Expr.zero()
-    for d, c in enumerate(a):
-        if c != 0:
-            out = out + Expr.number(c) * (alpha() ** d)
+def _coordinates(components: Sequence[Expr], shift: int = 0) -> dict[tuple, Rat]:
+    """Sparse vector of alpha^shift * (field with these components) in
+    (component, alpha-free monomial, alpha power) coordinates, read straight
+    from the normal-form terms, where alpha is always the last atom."""
+    out = {}
+    for comp, e in enumerate(components):
+        for mono, c in e.terms:
+            d = shift
+            if mono and mono[-1][0] == _ALPHA:
+                d += mono[-1][1]
+                mono = mono[:-1]
+            out[(comp, mono, d)] = c
     return out
-
-
-def expr_to_poly(e: Expr) -> Poly:
-    """Inverse of poly_to_expr for expressions polynomial in alpha alone."""
-    coeffs: dict[int, Fraction] = {}
-    for mono, c in e.terms:
-        if not mono:
-            coeffs[0] = coeffs.get(0, Fraction(0)) + c
-        elif len(mono) == 1 and mono[0][0] == ("a",) and mono[0][1] > 0:
-            coeffs[mono[0][1]] = coeffs.get(mono[0][1], Fraction(0)) + c
-        else:
-            raise ExprError(f"not a polynomial in alpha: {e}")
-    deg = max(coeffs) if coeffs else -1
-    return poly_trim([coeffs.get(d, Fraction(0)) for d in range(deg + 1)])
-
-
-def _alpha_map(e: Expr) -> dict[tuple, Poly]:
-    """Group terms as {alpha-free monomial: polynomial in alpha}."""
-    acc: dict[tuple, dict[int, Fraction]] = {}
-    for mono, c in e.terms:
-        d = 0
-        stripped = []
-        for atom, k in mono:
-            if atom == ("a",):
-                d = k
-            else:
-                stripped.append((atom, k))
-        key = tuple(stripped)
-        acc.setdefault(key, {})[d] = acc.get(key, {}).get(d, Fraction(0)) + c
-    out: dict[tuple, Poly] = {}
-    for key, powers in acc.items():
-        deg = max(powers)
-        out[key] = poly_trim([powers.get(i, Fraction(0)) for i in range(deg + 1)])
-    return out
-
-
-def _max_alpha_degree(maps) -> int:
-    best = 0
-    for mp in maps:
-        for poly in mp.values():
-            best = max(best, len(poly) - 1)
-    return best
-
-
-def _coordinates(maps, shift: int) -> dict[tuple, Fraction]:
-    """Sparse vector of alpha^shift * (field with the given alpha maps) in
-    (component, alpha-free monomial, alpha power) coordinates."""
-    return {
-        (comp, mono, p + shift): c
-        for comp, mp in enumerate(maps)
-        for mono, poly in mp.items()
-        for p, c in enumerate(poly)
-        if c != 0
-    }
 
 
 def _axpy(dst: dict, scale: Fraction, src: dict) -> None:
@@ -257,29 +183,26 @@ def _axpy(dst: dict, scale: Fraction, src: dict) -> None:
 
 
 @lru_cache(maxsize=64)
-def _basis_alpha_maps(basis: tuple[VectorField, ...]) -> tuple[tuple, int]:
-    """Per-component alpha maps of each basis field and their top alpha degree."""
-    maps = tuple(tuple(_alpha_map(c) for c in b.components()) for b in basis)
-    return maps, max(_max_alpha_degree(bm) for bm in maps)
-
-
-@lru_cache(maxsize=64)
-def _reduced_basis(basis: tuple[VectorField, ...], dmax: int) -> dict:
-    """Reduced echelon form of the vectors alpha^d * basis_k, d = 0..dmax.
+def _reduced_basis(basis: tuple[VectorField, ...], f_degree: int) -> tuple[int, dict]:
+    """Reduced echelon form of the vectors alpha^d * basis_k, d = 0..dmax,
+    where dmax = f_degree + (top alpha power of the basis) + 1 is a generous
+    cap on the degree of the coefficients of a field of alpha degree f_degree.
 
     Unknown k*(dmax+1)+d multiplies alpha^d * basis_k.  Vectors are inserted
     in that order, so a pivot is created exactly for each vector independent
     of the ones before it: the pivot columns Gauss-Jordan elimination picks.
-    Returns {pivot coordinate: (vector, combination)} where each vector is 1
-    at its own pivot and 0 at every other pivot, and its combination over the
-    unknowns reproduces it.  Dependent vectors get no pivot, so their unknowns
-    stay zero in every decomposition.  The cached result is shared by every
-    caller and must not be modified."""
-    maps, _deg = _basis_alpha_maps(basis)
+    Returns dmax and {pivot coordinate: (vector, combination)} where each
+    vector is 1 at its own pivot and 0 at every other pivot, and its
+    combination over the unknowns reproduces it.  Dependent vectors get no
+    pivot, so their unknowns stay zero in every decomposition.  The cached
+    result is shared by every caller and must not be modified."""
+    comps = [b.components() for b in basis]
+    top = max((key[2] for bc in comps for key in _coordinates(bc)), default=0)
+    dmax = f_degree + top + 1
     pivots: dict[tuple, tuple[dict, dict]] = {}
-    for k, bm in enumerate(maps):
+    for k, bc in enumerate(comps):
         for d in range(dmax + 1):
-            vec = _coordinates(bm, d)
+            vec = _coordinates(bc, d)
             combo = {k * (dmax + 1) + d: Fraction(1)}
             for coord in [c for c in vec if c in pivots]:
                 scale = vec[coord]
@@ -297,7 +220,7 @@ def _reduced_basis(basis: tuple[VectorField, ...], dmax: int) -> dict:
                     _axpy(other_vec, -scale, vec)
                     _axpy(other_combo, -scale, combo)
             pivots[coord] = (vec, combo)
-    return pivots
+    return dmax, pivots
 
 
 @dataclass(frozen=True)
@@ -339,12 +262,8 @@ def decompose_in_basis(f: VectorField, basis: Sequence[VectorField]) -> Decompos
             raise DimensionMismatchError("basis dimension mismatch")
 
     basis = tuple(basis)
-    maps, deg_b = _basis_alpha_maps(basis)
-    f_maps = [_alpha_map(c) for c in f.components()]
-    dmax = _max_alpha_degree(f_maps) + deg_b + 1  # generous cap on the lambda degree
-    pivots = _reduced_basis(basis, dmax)
-
-    residual = _coordinates(f_maps, 0)
+    residual = _coordinates(f.components())
+    dmax, pivots = _reduced_basis(basis, max((key[2] for key in residual), default=0))
     solution: dict[int, Fraction] = {}
     for coord in [c for c in residual if c in pivots]:
         scale = residual[coord]
@@ -353,22 +272,18 @@ def decompose_in_basis(f: VectorField, basis: Sequence[VectorField]) -> Decompos
         _axpy(solution, scale, combo)
     if residual:
         return Decomposition("outside")
-    lambdas = [
-        poly_trim([solution.get(k * (dmax + 1) + d, Fraction(0)) for d in range(dmax + 1)])
-        for k in range(len(basis))
-    ]
+    lambdas = [Expr.zero()] * len(basis)
+    for unknown, c in solution.items():
+        k, d = divmod(unknown, dmax + 1)
+        lambdas[k] = lambdas[k] + Expr.number(c) * alpha() ** d
     # independent verification, componentwise
     for comp, acc in enumerate(f.components()):
         for k, b in enumerate(basis):
             if lambdas[k]:
-                acc = acc - poly_to_expr(lambdas[k]) * b.components()[comp]
+                acc = acc - lambdas[k] * b.components()[comp]
         if not equals_zero(acc):
             return Decomposition("outside")
-    coeffs = {
-        basis[k].name: poly_to_expr(lambdas[k])
-        for k in range(len(basis))
-        if lambdas[k]
-    }
+    coeffs = {basis[k].name: lam for k, lam in enumerate(lambdas) if lam}
     return Decomposition("coeffs", coeffs)
 
 
@@ -478,33 +393,6 @@ def _pair_bracket(a: VectorField, b: VectorField) -> VectorField:
 
 
 @dataclass(frozen=True)
-class StructureConstants:
-    basis_names: tuple[str, ...]
-    c: tuple  # c[i][j] = tuple of alpha-polynomials over the basis
-
-    @staticmethod
-    def from_table(table: CommutatorTable) -> "StructureConstants":
-        m = len(table.basis)
-        names = [b.name for b in table.basis]
-        mat = [[None] * m for _ in range(m)]
-        zero_vec = tuple(() for _ in range(m))
-        for i in range(m):
-            mat[i][i] = zero_vec
-        for e in table.entries:
-            if not e.decomposition.in_span:
-                raise ValueError(
-                    f"bracket [{names[e.i]},{names[e.j]}] does not decompose over the basis"
-                )
-            vec = []
-            for name in names:
-                c = e.decomposition.coeffs.get(name, Expr.zero())
-                vec.append(expr_to_poly(c))
-            mat[e.i][e.j] = tuple(vec)
-            mat[e.j][e.i] = tuple(poly_neg(p) for p in vec)
-        return StructureConstants(tuple(names), tuple(tuple(row) for row in mat))
-
-
-@dataclass(frozen=True)
 class ClosureReport:
     closed: bool
     offending_pairs: tuple[tuple[str, str], ...]
@@ -535,9 +423,10 @@ def closure_report(basis: Sequence[VectorField]) -> ClosureReport:
 # derived series (rank computations over the rational-function field in alpha)
 # ---------------------------------------------------------------------------
 
-def _poly_rows_rank(rows: list[list[Poly]]) -> int:
-    """Rank over Q(alpha) via fraction-free elimination."""
-    rows = [list(r) for r in rows if any(p for p in r)]
+def _rank(rows: list[list[Expr]]) -> int:
+    """Rank over Q(alpha) via fraction-free elimination; exact because
+    normal-form equality decides whether an entry is zero."""
+    rows = [list(r) for r in rows if any(r)]
     if not rows:
         return 0
     ncols = len(rows[0])
@@ -556,10 +445,7 @@ def _poly_rows_rank(rows: list[list[Poly]]) -> int:
             if i == rank or not rows[i][col]:
                 continue
             f = rows[i][col]
-            rows[i] = [
-                poly_add(poly_mul(pv, rows[i][c]), poly_neg(poly_mul(f, rows[rank][c])))
-                for c in range(ncols)
-            ]
+            rows[i] = [pv * a - f * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
         if rank == len(rows):
             break
@@ -571,36 +457,39 @@ def derived_series(basis: Sequence[VectorField]) -> list[int]:
     table = commutator_table(basis)
     if any(not e.decomposition.in_span for e in table.entries):
         raise ValueError("basis is not closed; derived series undefined")
-    sc = StructureConstants.from_table(table)
     m = len(basis)
+    names = [b.name for b in table.basis]
+    # structure constants: [b_i, b_j] = sum_l c[i, j][l] b_l
+    c: dict[tuple[int, int], list[Expr]] = {}
+    for e in table.entries:
+        row = [e.decomposition.coeffs.get(name, Expr.zero()) for name in names]
+        c[e.i, e.j] = row
+        c[e.j, e.i] = [-x for x in row]
 
-    def derived(rows: list[list[Poly]]) -> list[list[Poly]]:
+    def derived(rows: list[list[Expr]]) -> list[list[Expr]]:
         out = []
         for a in range(len(rows)):
             for b in range(a + 1, len(rows)):
-                vec = [()] * m
+                vec = [Expr.zero()] * m
                 for i in range(m):
                     if not rows[a][i]:
                         continue
                     for j in range(m):
-                        if not rows[b][j]:
+                        if i == j or not rows[b][j]:
                             continue
-                        coef = poly_mul(rows[a][i], rows[b][j])
-                        for l in range(m):
-                            cij = sc.c[i][j][l]
+                        coef = rows[a][i] * rows[b][j]
+                        for l, cij in enumerate(c[i, j]):
                             if cij:
-                                vec[l] = poly_add(vec[l], poly_mul(coef, cij))
-                if any(p for p in vec):
+                                vec[l] = vec[l] + coef * cij
+                if any(vec):
                     out.append(vec)
         return out
 
-    current: list[list[Poly]] = [
-        [(Fraction(1),) if i == k else () for i in range(m)] for k in range(m)
-    ]
+    current = [[Expr.one() if i == k else Expr.zero() for i in range(m)] for k in range(m)]
     dims = [m]
     while True:
         current = derived(current)
-        d = _poly_rows_rank(current)
+        d = _rank(current)
         dims.append(d)
         if d == 0 or d == dims[-2]:
             return dims

@@ -20,6 +20,11 @@ GOLDEN_INTEGER_VERIFY_5_8 = Path(__file__).parent / "data" / "verify_integer_n5-
 # from these families
 GOLDEN_FAMILY_GEN = {r: Path(__file__).parent / "data" / f"gen_{r}_n5-6.json"
                      for r in ("integer", "fractional")}
+# output of `algebra --n 1..5 --regime <regime> --format json`, frozen while
+# the derived series still ranked tuple polynomials in alpha; the fractional
+# series for n >= 2 is where alpha enters the elimination
+GOLDEN_ALGEBRA = {r: Path(__file__).parent / "data" / f"algebra_{r}_n1-5.json"
+                  for r in ("integer", "fractional")}
 
 
 def run_cli(args, capsys):
@@ -91,6 +96,13 @@ class TestAlgebra:
         payload = json.loads(out)
         assert payload[0]["so_match"] is True
         assert payload[0]["sl2_match"] is True
+
+    @pytest.mark.parametrize("regime", sorted(GOLDEN_ALGEBRA))
+    def test_json_n1_5_matches_golden(self, regime, capsys):
+        code, out = run_cli(["algebra", "--n", "1..5", "--regime", regime,
+                             "--format", "json"], capsys)
+        assert code == 0
+        assert out.encode() == GOLDEN_ALGEBRA[regime].read_bytes()
 
 
 class TestConserve:

@@ -20,7 +20,6 @@ from liesym.expr import (
     jet,
     partial_derivative,
     point_derivative,
-    set_max_jet_order,
     substitute,
     total_derivative,
     var,
@@ -107,12 +106,9 @@ class TestDerivatives:
         with pytest.raises(JetOrderError):
             total_derivative(parse("u_{xxxx}"), "x")
 
-    def test_env_cap_override(self):
-        old = set_max_jet_order(5)
-        try:
-            assert total_derivative(parse("u_{xxxx}"), "x") == parse("u_{xxxxx}")
-        finally:
-            set_max_jet_order(old)
+    def test_max_order_override(self):
+        got = total_derivative(parse("u_{xxxx}"), "x", max_order=5)
+        assert got == parse("u_{xxxxx}")
 
     def test_point_derivative_ignores_jets(self):
         assert point_derivative(parse("u_x*t"), "t") == parse("u_x")

@@ -7,12 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from liesym import parse
+from liesym import fields, parse
 from liesym.catalog import FRACTIONAL, INTEGER, HeatEquation, generators
-from liesym.expr import Expr
+from liesym.expr import Expr, alpha
 from liesym.fields import (
     DimensionMismatchError,
-    StructureConstants,
     VectorField,
     closure_report,
     commutator_table,
@@ -252,13 +251,26 @@ class TestTable:
 
     def test_structure_constants_checks(self, g3):
         rots = [g3["G37"], g3["G38"], g3["G39"]]
-        sc = StructureConstants.from_table(commutator_table(rots))
+        table = commutator_table(rots)
         # so(3): [G37,G38] = -G39, [G37,G39] = G38, [G38,G39] = -G37
-        one, minus = (Fraction(1),), (Fraction(-1),)
-        assert sc.basis_names == ("G37", "G38", "G39")
-        assert sc.c[0][1] == ((), (), minus) and sc.c[1][0] == ((), (), one)
-        assert sc.c[0][2] == ((), one, ()) and sc.c[1][2] == (minus, (), ())
-        assert all(sc.c[i][i] == ((), (), ()) for i in range(3))
+        assert [b.name for b in table.basis] == ["G37", "G38", "G39"]
+        coeffs = {(e.i, e.j): e.decomposition.coeffs for e in table.entries}
+        assert coeffs == {
+            (0, 1): {"G39": Expr.number(-1)},
+            (0, 2): {"G38": Expr.one()},
+            (1, 2): {"G37": Expr.number(-1)},
+        }
+
+    @pytest.mark.parametrize("rows,rank", [
+        ([[alpha(), alpha() ** 2], [Expr.one(), alpha()]], 1),
+        ([[alpha(), Expr.one()], [Expr.one(), alpha()]], 2),
+        ([[alpha() - 1, Expr.zero()], [Expr.zero(), Expr.zero()]], 1),
+        ([], 0),
+    ])
+    def test_rank_over_rational_functions_in_alpha(self, rows, rank):
+        # [[alpha, alpha^2], [1, alpha]] is singular over Q(alpha) although
+        # its alpha-power coordinates are independent over Q
+        assert fields._rank(rows) == rank
 
     def test_latex_emission(self, g1):
         table = commutator_table([g1["G3"], g1["G4"]])
