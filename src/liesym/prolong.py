@@ -30,9 +30,10 @@ from .expr import (
     spatial_names,
     substitute,
     total_derivative,
+    var,
     var_rank,
 )
-from .fields import VectorField
+from .fields import VectorField, identify_rotation
 
 __all__ = [
     "ProlongedField",
@@ -133,29 +134,33 @@ def determining_residual(f: VectorField, eq: HeatEquation) -> Expr:
 
 @dataclass(frozen=True)
 class PointTransformation:
-    """One-parameter group element: closed-form maps (t, x, u) -> image and
-    the exact inverse.  Coordinate maps do not depend on u; the u-map is
-    linear in u with a coordinate-dependent factor.  The maps take floats or
-    broadcast numpy arrays for t and each x_i."""
+    """Element exp(eps*V) of the one-parameter group of a point field V.
+
+    ``flow(s, t, xs) -> (t~, xs~, m)`` is the group element at parameter s:
+    it maps (t, xs) to (t~, xs~) and multiplies u there by m.  The element is
+    the flow at eps and its inverse is the same flow at -eps.  t and each x_i
+    may be floats or broadcast numpy arrays."""
 
     label: str
     n: int
     eps: float
-    coord_map: Callable  # (t, xs) -> (t~, xs~)
-    coord_inverse: Callable
-    u_factor: Callable  # (t, xs) -> multiplier applied to u at (t, xs)
+    flow: Callable
 
     def map_point(self, t: float, xs: Sequence[float], u: float):
-        tt, yy = self.coord_map(t, tuple(xs))
-        return tt, yy, u * self.u_factor(t, tuple(xs))
+        tt, yy, m = self.flow(self.eps, t, tuple(xs))
+        return tt, yy, u * m
+
+    def coord_inverse(self, t: float, xs: Sequence[float]):
+        t0, x0, _ = self.flow(-self.eps, t, tuple(xs))
+        return t0, x0
 
     def push_solution(self, sol: Callable) -> Callable:
         """Transport a solution: the image function evaluated at (t, xs)."""
 
         def pushed(t: float, xs: Sequence[float], alpha: float | None = None) -> float:
-            t0, x0 = self.coord_inverse(t, tuple(xs))
+            t0, x0 = self.coord_inverse(t, xs)
             base = sol(t0, x0, alpha) if alpha is not None else sol(t0, x0)
-            return base * self.u_factor(t0, x0)
+            return base * self.flow(self.eps, t0, x0)[2]
 
         return pushed
 
@@ -167,7 +172,7 @@ def _diagonal_weights(g: NamedGenerator, alpha_value: float | None) -> tuple[flo
     def linear_weight(coeff: Expr, var_name: str) -> float | None:
         if coeff.is_zero:
             return 0.0
-        ratio = coeff / (Expr.from_atom(("v", var_name)) if var_name != "u" else jet())
+        ratio = coeff / (var(var_name) if var_name != "u" else jet())
         if not ratio.is_constant():
             try:
                 return eval_numeric(ratio, {}, alpha_value) if alpha_value else None
@@ -193,121 +198,78 @@ def _diagonal_weights(g: NamedGenerator, alpha_value: float | None) -> tuple[flo
 def exponentiate_catalog(
     g: NamedGenerator, eps: float, alpha_value: float | None = None
 ) -> PointTransformation:
-    """Exact flow of a catalog generator.  alpha_value is required when the
-    generator's coefficients involve the symbolic order (fractional dilation).
+    """Exact flow of a catalog generator.  The class label picks the closed
+    form; a field that is not exactly of that form raises
+    UnsupportedFlowError.  alpha_value is required when the generator's
+    coefficients involve the symbolic order (fractional dilation).
     """
     f = g.field
     n = f.n
-    one = lambda t, xs: 1.0
     label = f"{g.name}(eps={eps})"
+    t_, xs_, u_ = var("t"), [var(v) for v in spatial_names(n)], jet()
 
     if g.klass in ("space-translation", "time-translation"):
-        shift_t = float(f.xi0.as_fraction()) * eps if f.xi0.is_constant() else None
-        shifts = [float(c.as_fraction()) * eps if c.is_constant() else None for c in f.xi]
-        if shift_t is None or any(s is None for s in shifts):
-            raise UnsupportedFlowError(f"{g.name}: translation with non-constant coefficients")
+        if not (f.eta.is_zero and all(c.is_constant() for c in (f.xi0, *f.xi))):
+            raise UnsupportedFlowError(f"{g.name}: not a constant translation")
+        dt, dx = float(f.xi0.as_fraction()), [float(c.as_fraction()) for c in f.xi]
 
-        def tmap(t, xs, dt=shift_t, dx=tuple(shifts)):
-            return t + dt, tuple(x + d for x, d in zip(xs, dx))
+        def flow(s, t, xs):
+            return t + dt * s, tuple(x + d * s for x, d in zip(xs, dx)), 1.0
 
-        def tinv(t, xs, dt=shift_t, dx=tuple(shifts)):
-            return t - dt, tuple(x - d for x, d in zip(xs, dx))
-
-        return PointTransformation(label, n, eps, tmap, tinv, one)
-
-    if g.klass == "rotation":
-        from .fields import identify_rotation
-
+    elif g.klass == "rotation":
         ident_rot = identify_rotation(f)
         if ident_rot is None:
             raise UnsupportedFlowError(f"{g.name}: not a recognizable rotation")
-        p, q, s = ident_rot
-        ang = s * eps
-        # flow of s*(x_p d_q - x_q d_p): rotates the (p, q) plane
-        cos_a, sin_a = math.cos(ang), math.sin(ang)
+        p, q, sign = ident_rot
         p, q = p - 1, q - 1
 
-        def rmap(t, xs):
+        def flow(s, t, xs):
+            # flow of sign*(x_p d_q - x_q d_p): rotates the (p, q) plane
+            cos_a, sin_a = math.cos(sign * s), math.sin(sign * s)
             ys = list(xs)
             ys[p] = cos_a * xs[p] - sin_a * xs[q]
             ys[q] = sin_a * xs[p] + cos_a * xs[q]
-            return t, tuple(ys)
+            return t, tuple(ys), 1.0
 
-        def rinv(t, xs):
-            ys = list(xs)
-            ys[p] = cos_a * xs[p] + sin_a * xs[q]
-            ys[q] = -sin_a * xs[p] + cos_a * xs[q]
-            return t, tuple(ys)
-
-        return PointTransformation(label, n, eps, rmap, rinv, one)
-
-    if g.klass in ("dilation", "homogeneity"):
+    elif g.klass in ("dilation", "homogeneity"):
         weights = _diagonal_weights(g, alpha_value)
         if weights is None:
-            raise UnsupportedFlowError(
-                f"{g.name}: dilation weights need a numeric alpha"
-            )
+            raise UnsupportedFlowError(f"{g.name}: not diagonal, or its weights need alpha_value")
         a, bs, c = weights
-        ta, xbs, uc = math.exp(a * eps), [math.exp(b * eps) for b in bs], math.exp(c * eps)
 
-        def dmap(t, xs):
-            return t * ta, tuple(x * s for x, s in zip(xs, xbs))
+        def flow(s, t, xs):
+            return (t * math.exp(a * s), tuple(x * math.exp(b * s) for x, b in zip(xs, bs)),
+                    math.exp(c * s))
 
-        def dinv(t, xs):
-            return t / ta, tuple(x / s for x, s in zip(xs, xbs))
-
-        return PointTransformation(label, n, eps, dmap, dinv, lambda t, xs: uc)
-
-    if g.klass == "solution":
-        # Galilean 2t d_i - u x_i d_u: x_i -> x_i + 2 eps t,
-        # u -> u exp(-eps x_i - eps^2 t)
-        axis = None
-        for i in range(n):
-            if not f.xi[i].is_zero:
-                axis = i
-        if axis is None or f.xi[axis] != Expr.number(2) * Expr.from_atom(("v", "t")):
+    elif g.klass == "solution":
+        # Galilean 2t d_i - u x_i d_u: x_i -> x_i + 2 s t,
+        # u -> u exp(-s x_i - s^2 t)
+        i = next((k for k in range(n) if not f.xi[k].is_zero), 0)
+        galilean = tuple(2 * t_ if k == i else Expr.zero() for k in range(n))
+        if (f.xi0, f.xi, f.eta) != (Expr.zero(), galilean, -u_ * xs_[i]):
             raise UnsupportedFlowError(f"{g.name}: unsupported solution-symmetry shape")
 
-        def smap(t, xs, i=axis):
+        def flow(s, t, xs):
             ys = list(xs)
-            ys[i] = xs[i] + 2.0 * eps * t
-            return t, tuple(ys)
+            ys[i] = xs[i] + 2.0 * s * t
+            return t, tuple(ys), np.exp(-s * xs[i] - s * s * t)
 
-        def sinv(t, xs, i=axis):
-            ys = list(xs)
-            ys[i] = xs[i] - 2.0 * eps * t
-            return t, tuple(ys)
-
-        def sfac(t, xs, i=axis):
-            return np.exp(-eps * xs[i] - eps * eps * t)
-
-        return PointTransformation(label, n, eps, smap, sinv, sfac)
-
-    if g.klass == "projective":
+    elif g.klass == "projective":
         # flow of 4t^2 d_t + 4t sum x_i d_i - u(2nt + sum x_i^2) d_u:
-        #   t -> t/(1-4 eps t), x -> x/(1-4 eps t),
-        #   u -> u (1-4 eps t)^{n/2} exp(-eps |x|^2/(1-4 eps t))
-        def pden(t):
-            d = 1.0 - 4.0 * eps * t
+        #   t -> t/(1-4 s t), x -> x/(1-4 s t),
+        #   u -> u (1-4 s t)^{n/2} exp(-s |x|^2/(1-4 s t))
+        r2_ = sum(x * x for x in xs_)
+        if (f.xi0, f.xi, f.eta) != (4 * t_ * t_, tuple(4 * t_ * x for x in xs_),
+                                    -u_ * (2 * n * t_ + r2_)):
+            raise UnsupportedFlowError(f"{g.name}: not the projective field")
+
+        def flow(s, t, xs):
+            d = 1.0 - 4.0 * s * t
             if np.any(d <= 0.0):
                 raise UnsupportedFlowError("projective flow leaves its domain (1-4*eps*t <= 0)")
-            return d
-
-        def pmap(t, xs):
-            d = pden(t)
-            return t / d, tuple(x / d for x in xs)
-
-        def pinv(t, xs):
-            d = 1.0 + 4.0 * eps * t
-            if np.any(d <= 0.0):
-                raise UnsupportedFlowError("projective flow leaves its domain")
-            return t / d, tuple(x / d for x in xs)
-
-        def pfac(t, xs):
-            d = pden(t)
             r2 = sum(x * x for x in xs)
-            return d ** (n / 2.0) * np.exp(-eps * r2 / d)
+            return t / d, tuple(x / d for x in xs), d ** (n / 2.0) * np.exp(-s * r2 / d)
 
-        return PointTransformation(label, n, eps, pmap, pinv, pfac)
-
-    raise UnsupportedFlowError(f"no closed-form flow for class {g.klass!r}")
+    else:
+        raise UnsupportedFlowError(f"no closed-form flow for class {g.klass!r}")
+    return PointTransformation(label, n, eps, flow)

@@ -306,12 +306,9 @@ def test_8_fractional_invariance():
     eq = HeatEquation(1, FRACTIONAL)
     sol = exact_solutions(eq, k=1.0)[2]
     eps = 0.3
-    ta, xb = math.exp(2 * eps), math.exp(1.0 * eps)
     bad = PointTransformation(
         "mis-weighted dilation", 1, eps,
-        lambda t, xs: (t * ta, tuple(x * xb for x in xs)),
-        lambda t, xs: (t / ta, tuple(x / xb for x in xs)),
-        lambda t, xs: 1.0,
+        lambda s, t, xs: (t * math.exp(2 * s), tuple(x * math.exp(s) for x in xs), 1.0),
     )
     bad_rep = invariance_check(eq, sol, bad, alpha, T=1.0, K=768,
                                spatial=((-1.2, 1.2, 33),), refine=True)

@@ -9,12 +9,15 @@ import liesym.reference_tables as reference_tables
 from liesym.cli import RunConfig, main
 
 # output of `verify --n 1..4 --format json --seed 7`, frozen before the lazy
-# prolongation; the fractional JSON is left out because its rounded floats
-# depend on the BLAS build
+# prolongation
 GOLDEN_INTEGER_VERIFY = Path(__file__).parent / "data" / "verify_integer_n1-4_seed7.json"
 # output of `verify --n 5..8 --format json --seed 7`, frozen before integer
 # coefficients and the compiled rule sets
 GOLDEN_INTEGER_VERIFY_5_8 = Path(__file__).parent / "data" / "verify_integer_n5-8_seed7.json"
+# output of `verify --n 1..3 --regime fractional --format json`, frozen while
+# every flow still had a hand-written inverse; its rounded ratios pin the
+# grid numerics, so a BLAS build that sums in another order may move them
+GOLDEN_FRACTIONAL_VERIFY = Path(__file__).parent / "data" / "verify_fractional_n1-3.json"
 # output of `gen --n 5..6 --regime <regime> --format json`, frozen while the
 # printed n <= 4 lists were still written out by hand; every n now builds
 # from these families
@@ -132,6 +135,12 @@ class TestVerify:
         code, out = run_cli(["verify", "--n", "5..8", "--format", "json", "--seed", "7"], capsys)
         assert code == 0
         assert out.encode() == GOLDEN_INTEGER_VERIFY_5_8.read_bytes()
+
+    def test_fractional_json_matches_golden(self, capsys):
+        code, out = run_cli(["verify", "--n", "1..3", "--regime", "fractional",
+                             "--format", "json"], capsys)
+        assert code == 0
+        assert out.encode() == GOLDEN_FRACTIONAL_VERIFY.read_bytes()
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

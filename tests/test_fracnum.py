@@ -469,9 +469,7 @@ class TestArraySampling:
         t = np.linspace(0.1, 1.0, 10)  # 1 - 4*eps*t = 0 at t = 1 only
         tr = exponentiate_catalog(g5, 0.25)
         with pytest.raises(UnsupportedFlowError):
-            tr.coord_map(t, (np.zeros_like(t),))
-        with pytest.raises(UnsupportedFlowError):
-            tr.u_factor(t, (np.zeros_like(t),))
+            tr.map_point(t, (np.zeros_like(t),), 1.0)
         # the pushed solution of the inverse flow meets 1 + 4*eps*t = 0 at t = T
         back = exponentiate_catalog(g5, -0.25).push_solution(lambda t, xs: 1.0)
         with pytest.raises(UnsupportedFlowError):
@@ -519,12 +517,7 @@ class TestInvariance:
         from liesym.prolong import PointTransformation
 
         eq = HeatEquation(1, FRACTIONAL)
-        shift = PointTransformation(
-            "t-shift", 1, 0.5,
-            lambda t, xs: (t + 0.5, xs),
-            lambda t, xs: (t - 0.5, xs),
-            lambda t, xs: 1.0,
-        )
+        shift = PointTransformation("t-shift", 1, 0.5, lambda s, t, xs: (t + s, xs, 1.0))
         with pytest.raises(GridError) as err:
             invariance_check(eq, lambda t, xs, a: t, shift, 0.5, K=64,
                              spatial=((-1.0, 1.0, 17),))

@@ -2,12 +2,20 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
 from liesym import parse
-from liesym.catalog import FRACTIONAL, INTEGER, HeatEquation, exact_solutions, generators
-from liesym.expr import eval_numeric
+from liesym.catalog import (
+    FRACTIONAL,
+    INTEGER,
+    HeatEquation,
+    NamedGenerator,
+    exact_solutions,
+    generators,
+)
+from liesym.expr import eval_numeric, spatial_names
 from liesym.fields import VectorField, vf_add
 from liesym.prolong import (
     RegimeError,
@@ -20,6 +28,14 @@ from liesym.prolong import (
 )
 
 from .helpers import heat_residual_stencil
+
+
+# every finite generator of both catalogs at n = 1..3, by printed name (the
+# names are unique across the six catalogs); alpha_value = 0.5 is read only
+# by the fractional fields
+FINITE_1_3 = {g.name: g for regime in (INTEGER, FRACTIONAL) for n in (1, 2, 3)
+              for g in generators(HeatEquation(n, regime)) if g.klass != "infinite"}
+ALPHA = 0.5
 
 
 @pytest.fixture(scope="module")
@@ -183,27 +199,27 @@ class TestFlows:
         with pytest.raises(UnsupportedFlowError):
             exponentiate_catalog(g1["G7"], 0.1)
 
-    @pytest.mark.parametrize("name", ["G1", "G2", "G3", "G4", "G5", "G6"])
-    def test_flow_derivative_at_zero(self, g1, name):
+    @pytest.mark.parametrize("name", FINITE_1_3)
+    def test_flow_derivative_at_zero(self, name):
         # d/deps at 0 of the flow reproduces the field (central difference)
         rng = random.Random(11)
-        g = g1[name]
+        g = FINITE_1_3[name]
+        n = g.field.n
         h = 1e-4
-        plus = exponentiate_catalog(g, h)
-        minus = exponentiate_catalog(g, -h)
+        plus = exponentiate_catalog(g, h, alpha_value=ALPHA)
+        minus = exponentiate_catalog(g, -h, alpha_value=ALPHA)
         for _ in range(20):
             t = rng.uniform(0.1, 0.8)
-            x = rng.uniform(-1.0, 1.0)
+            xs = tuple(rng.uniform(-1.0, 1.0) for _ in range(n))
             u = rng.uniform(0.5, 2.0)
-            fp = plus.map_point(t, (x,), u)
-            fm = minus.map_point(t, (x,), u)
+            fp = plus.map_point(t, xs, u)
+            fm = minus.map_point(t, xs, u)
             deriv = [(fp[0] - fm[0]) / (2 * h),
-                     (fp[1][0] - fm[1][0]) / (2 * h),
+                     *((a - b) / (2 * h) for a, b in zip(fp[1], fm[1])),
                      (fp[2] - fm[2]) / (2 * h)]
-            binding = {"t": t, "x": x, "u": u}
-            expect = [eval_numeric(g.field.xi0, binding),
-                      eval_numeric(g.field.xi[0], binding),
-                      eval_numeric(g.field.eta, binding)]
+            binding = {"t": t, "u": u, **dict(zip(spatial_names(n), xs))}
+            expect = [eval_numeric(c, binding, ALPHA)
+                      for c in (g.field.xi0, *g.field.xi, g.field.eta)]
             for d, e in zip(deriv, expect):
                 assert abs(d - e) < 1e-6
 
@@ -220,15 +236,32 @@ class TestFlows:
         assert abs(a[1][0] - b[1][0]) < 1e-9
         assert abs(a[2] - b[2]) < 1e-9
 
-    def test_inverse_roundtrip(self, g1):
-        tr = exponentiate_catalog(g1["G5"], 0.11)
-        p = (0.4, (0.6,), 1.3)
-        q = tr.map_point(*p)
-        t0, x0 = tr.coord_inverse(q[0], q[1])
-        u0 = q[2] / tr.u_factor(t0, x0)
+    @pytest.mark.parametrize("name", FINITE_1_3)
+    def test_inverse_roundtrip(self, name):
+        # the flow at -eps undoes the flow at eps, u included
+        g = FINITE_1_3[name]
+        there = exponentiate_catalog(g, 0.11, alpha_value=ALPHA)
+        back = exponentiate_catalog(g, -0.11, alpha_value=ALPHA)
+        p = (0.4, (0.6, -0.3, 0.2)[:g.field.n], 1.3)
+        t0, x0, u0 = back.map_point(*there.map_point(*p))
         assert abs(t0 - p[0]) < 1e-12
-        assert abs(x0[0] - p[1][0]) < 1e-12
+        assert all(abs(a - b) < 1e-12 for a, b in zip(x0, p[1]))
         assert abs(u0 - p[2]) < 1e-12
+
+    @pytest.mark.parametrize("regime", [INTEGER, FRACTIONAL])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_finite_generator_has_a_flow(self, regime, n):
+        for g in generators(HeatEquation(n, regime)):
+            if g.klass != "infinite":
+                exponentiate_catalog(g, 0.1, alpha_value=ALPHA)
+
+    @pytest.mark.parametrize("name,eta", [("G5", "u"), ("G2", "u*x"), ("G1", "u")])
+    def test_flow_checks_the_field_not_the_label(self, g1, name, eta):
+        # the class label alone must not pick the flow of another field
+        g = g1[name]
+        bad = NamedGenerator(replace(g.field, eta=parse(eta)), g.klass)
+        with pytest.raises(UnsupportedFlowError):
+            exponentiate_catalog(bad, 0.1)
 
     def test_identity_at_zero_parameter(self, g1):
         tr = exponentiate_catalog(g1["G5"], 0.0)
