@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .expr import Expr, spatial_names, frac_deriv, jet, substitute
+from .expr import Expr, spatial_names, frac_deriv, jet
 from .fields import VectorField, vf_add, vf_scale
 from .parser import parse
 
@@ -32,7 +32,6 @@ __all__ = [
     "count_formula",
     "generators",
     "exact_solutions",
-    "solution_residual",
     "catalog_json_obj",
     "catalog_latex",
 ]
@@ -263,14 +262,6 @@ class ExactSolution:
 
     def __call__(self, t: float, xs: Sequence[float], alpha: float | None = None) -> float:
         return self.func(t, xs, alpha)
-
-
-def solution_residual(sol: Expr, eq: HeatEquation) -> Expr:
-    """Symbolic residual of the governing equation for a closed-form solution
-    expression in (t, x_i); integer regime only."""
-    if eq.is_fractional:
-        raise ValueError("symbolic residuals are integer-regime only")
-    return substitute(eq.residual_expr(), {"u": sol})
 
 
 def exact_solutions(eq: HeatEquation, k: float = 1.0) -> list[ExactSolution]:

@@ -10,18 +10,17 @@ silently adopting either side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .catalog import FRACTIONAL, INTEGER, HeatEquation, NamedGenerator
+from .catalog import HeatEquation, NamedGenerator
 from .expr import (
     Expr,
     ExprError,
     _func_laplacian,
-    adjoint_frac_deriv,
     func_sym,
     spatial_name,
     substitute,
@@ -40,13 +39,10 @@ from .prolong import characteristic_expr, onshell_rules
 
 __all__ = [
     "NonlocalError",
-    "FormalLagrangian",
     "FracIntTerm",
     "JTerm",
     "ConservedVector",
-    "AdjointEquation",
     "conserved_vector",
-    "adjoint_residual",
     "divergence_onshell_symbolic",
     "onshell_conservation_rules",
     "FluxReport",
@@ -58,18 +54,6 @@ __all__ = [
 
 class NonlocalError(ExprError):
     pass
-
-
-@dataclass(frozen=True)
-class FormalLagrangian:
-    """L = phi * (D_t^alpha u - Laplacian u); the integer regime reads the
-    leading term as the jet coordinate u_t."""
-
-    eq: HeatEquation
-
-    @property
-    def expr(self) -> Expr:
-        return _lagrangian(self.eq)
 
 
 @lru_cache(maxsize=32)
@@ -94,10 +78,9 @@ class JTerm:
     past values of f with future values of phi_t."""
 
     f: Expr
-    g_label: str = "phi_t"
 
     def __str__(self):
-        return f"J({self.f}, {self.g_label})"
+        return f"J({self.f}, phi_t)"
 
 
 @dataclass(frozen=True)
@@ -117,7 +100,9 @@ def conserved_vector(
     eq: HeatEquation,
     attach_diff: bool = True,
 ) -> ConservedVector:
-    """Components from the Noether-operator formulas:
+    """Components from the Noether-operator formulas applied to the formal
+    Lagrangian L = phi (D_t^alpha u - Lap(u)), whose leading term the integer
+    regime reads as the jet coordinate u_t:
 
         C^t   = xi0 L + W phi                       (integer)
         C^t   = xi0 L + phi I^(1-alpha)[W] + J(W, phi_t)   (fractional)
@@ -129,7 +114,7 @@ def conserved_vector(
     if vf.n != eq.n:
         raise ValueError("field and equation dimensions differ")
     w = characteristic_expr(vf)
-    L = FormalLagrangian(eq).expr
+    L = _lagrangian(eq)
     phi = func_sym("phi")
     cx = []
     for i in range(eq.n):
@@ -145,44 +130,8 @@ def conserved_vector(
     if attach_diff and eq.n <= 4:
         from .audit import conserved_vector_diff
 
-        cv = ConservedVector(
-            cv.symmetry, cv.n, cv.regime, cv.W, cv.Ct_local, cv.Ct_nodes, cv.Cx,
-            paper_diff=tuple(conserved_vector_diff(cv, eq)),
-        )
+        cv = replace(cv, paper_diff=tuple(conserved_vector_diff(cv, eq)))
     return cv
-
-
-@dataclass(frozen=True)
-class AdjointEquation:
-    regime: str
-    residual: Expr
-    test_functions: tuple[Expr, ...] = ()
-    numeric_note: str = ""
-
-
-def adjoint_residual(eq: HeatEquation) -> AdjointEquation:
-    """The constraint on the multiplier phi.  Integer regime: the backward
-    heat operator phi_t + Laplacian(phi), with machine-verified polynomial
-    solutions attached.  Fractional: the adjoint (right-sided) fractional
-    operator minus the Laplacian; (T-t)^(alpha-1) is its numeric kernel
-    sample (see liesym.fracnum.right_rl_derivative_grid)."""
-    lap_phi = _func_laplacian("phi", eq.n)
-    if eq.is_fractional:
-        return AdjointEquation(
-            FRACTIONAL,
-            adjoint_frac_deriv("phi") - lap_phi,
-            numeric_note="(T-t)^(alpha-1) annihilates the right-sided derivative",
-        )
-    from .parser import parse
-
-    residual = func_sym("phi", ("t",)) + lap_phi
-    candidates = [parse("1"), parse("x"), parse("x^2-2*t")]
-    verified = []
-    for cand in candidates:
-        check = substitute(residual, {"phi": cand})
-        if check.is_zero:
-            verified.append(cand)
-    return AdjointEquation(INTEGER, residual, tuple(verified))
 
 
 @lru_cache(maxsize=32)
@@ -202,10 +151,8 @@ def onshell_conservation_rules(eq: HeatEquation) -> dict[str, Expr]:
 def divergence_onshell_symbolic(cv: ConservedVector, eq: HeatEquation) -> Expr:
     """D_t C^t + sum_i D_{x_i} C^{x_i}, reduced on the solution shell and the
     adjoint shell; identically zero certifies the conservation law."""
-    if cv.Ct_nodes:
-        raise NonlocalError("symbolic divergence is defined for local (integer) vectors only")
-    if eq.is_fractional:
-        raise NonlocalError("symbolic divergence covers the integer regime only")
+    if cv.Ct_nodes or eq.is_fractional:
+        raise NonlocalError("symbolic divergence covers local (integer) vectors only")
     div = total_derivative(cv.Ct_local, "t")
     for i in range(eq.n):
         div = div + total_derivative(cv.Cx[i], spatial_name(i + 1))
@@ -226,11 +173,6 @@ class FluxReport:
     qnodes: int
 
 
-def _central_diff(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
-    out = np.gradient(arr, h, axis=axis, edge_order=2)
-    return out
-
-
 def _interp_columns(x: np.ndarray, xp: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """np.interp of every column of cols (sampled at xp) at the points x."""
     return np.stack([np.interp(x, xp, c) for c in cols.T], axis=1)
@@ -240,9 +182,9 @@ def _jet_array(base: np.ndarray, idx: tuple[str, ...], dt: float, dx: float) -> 
     out = base
     for v in idx:
         if v == "t":
-            out = _central_diff(out, 0, dt)
+            out = np.gradient(out, dt, axis=0, edge_order=2)
         else:
-            out = _central_diff(out, 1, dx)
+            out = np.gradient(out, dx, axis=1, edge_order=2)
     return out
 
 
@@ -364,7 +306,7 @@ def divergence_numeric_fractional(
         if phi_t is not None:
             gfun = lambda s: phi_t(s[:, None], xaxis[None, cols])
         else:
-            g_cols = _central_diff(phi.values, 0, dt)[:, cols]
+            g_cols = np.gradient(phi.values, dt, axis=0, edge_order=2)[:, cols]
             gfun = lambda s: _interp_columns(s, taxis, g_cols)
         ct_line_lo += j_quadrature(ffun, gfun, alpha, taxis[it1], T, nodes=qnodes)
         ct_line_hi += j_quadrature(ffun, gfun, alpha, taxis[it2], T, nodes=qnodes)
@@ -402,7 +344,7 @@ def conserved_vector_json_obj(cv: ConservedVector) -> dict:
         if isinstance(node, FracIntTerm):
             nodes.append({"kind": "frac_int", "order": "1-alpha", "arg": str(node.arg)})
         else:
-            nodes.append({"kind": "J", "f": str(node.f), "g": node.g_label})
+            nodes.append({"kind": "J", "f": str(node.f), "g": "phi_t"})
     ct_parts = ([] if cv.Ct_local.is_zero and cv.Ct_nodes else [str(cv.Ct_local)])
     ct_parts += [str(node) for node in cv.Ct_nodes]
     return {

@@ -3,10 +3,10 @@
 An expression is a finite sum of monomials with rational coefficients over a
 fixed atom alphabet: independent variables (t, x, y, z, w, x5, ...), jet
 coordinates of u (u, u_t, u_{xy}, ...), opaque function symbols (phi, F) with
-derivative subscripts generated on demand, fractional-derivative markers, and
-the order parameter alpha.  Every constructor returns the unique normal form
-(expanded, collected, atoms totally ordered), so structural equality is
-semantic equality and ``equals_zero`` is a decision procedure.
+derivative subscripts generated on demand, fractional time-derivative markers
+on jets of u, and the order parameter alpha.  Every constructor returns the
+unique normal form (expanded, collected, atoms totally ordered), so structural
+equality is semantic equality and ``equals_zero`` is a decision procedure.
 
 Atoms are plain tuples:
 
@@ -16,8 +16,6 @@ Atoms are plain tuples:
     ('f', fname, idx)    opaque function symbol with derivative subscripts
     ('D', idx)           fractional time derivative applied to u_idx
                          (idx spatial only); printed Dalpha[...]
-    ('R', fname)         adjoint (right-sided) fractional derivative marker;
-                         printed Dalphastar[...]
     ('a',)               alpha
 
 All operations are pure; expressions are immutable and hashable.
@@ -44,7 +42,6 @@ __all__ = [
     "func_sym",
     "alpha",
     "frac_deriv",
-    "adjoint_frac_deriv",
     "spatial_name",
     "spatial_names",
     "canonical_var",
@@ -55,7 +52,6 @@ __all__ = [
     "substitute",
     "equals_zero",
     "eval_numeric",
-    "max_jet_order",
     "to_latex",
 ]
 
@@ -92,10 +88,6 @@ class EvaluationError(ExprError):
 
 
 _MAX_JET_ORDER = 4
-
-
-def max_jet_order() -> int:
-    return _MAX_JET_ORDER
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +138,7 @@ def _sorted_index(names: Iterable[str]) -> tuple[str, ...]:
 # atoms
 # ---------------------------------------------------------------------------
 
-_KIND_RANK = {"v": 0, "j": 1, "f": 2, "D": 3, "R": 4, "a": 5}
+_KIND_RANK = {"v": 0, "j": 1, "f": 2, "D": 3, "a": 4}
 
 
 @functools.cache
@@ -162,8 +154,6 @@ def _atom_key(atom: tuple) -> tuple:
         return (rank, atom[1], (len(atom[2]),) + tuple(var_rank(v) for v in atom[2]))
     if kind == "D":
         return (rank, "", (len(atom[1]),) + tuple(var_rank(v) for v in atom[1]))
-    if kind == "R":
-        return (rank, atom[1], ())
     return (rank, "", ())
 
 
@@ -183,8 +173,6 @@ def atom_name(atom: tuple) -> str:
         return atom[1] if not atom[2] else atom[1] + "_" + _index_str(atom[2])
     if kind == "D":
         return f"Dalpha[{atom_name(('j', atom[1]))}]"
-    if kind == "R":
-        return f"Dalphastar[{atom[1]}]"
     return "alpha"
 
 
@@ -454,8 +442,8 @@ def var(name: str) -> Expr:
 def jet(*index: str) -> Expr:
     """Jet coordinate u_index; jet() is u itself."""
     idx = _sorted_index(index)
-    if len(idx) > max_jet_order():
-        raise JetOrderError(f"jet order {len(idx)} exceeds cap {max_jet_order()}")
+    if len(idx) > _MAX_JET_ORDER:
+        raise JetOrderError(f"jet order {len(idx)} exceeds cap {_MAX_JET_ORDER}")
     return Expr.from_atom(("j", idx))
 
 
@@ -485,12 +473,6 @@ def frac_deriv(*spatial_index: str) -> Expr:
     return Expr.from_atom(("D", idx))
 
 
-def adjoint_frac_deriv(name: str = "phi") -> Expr:
-    if name not in FUNCTION_SYMBOLS:
-        raise UnknownSymbolError(f"unknown function symbol {name!r}")
-    return Expr.from_atom(("R", name))
-
-
 def _resolve_atom(sym) -> tuple:
     """Accept an atom tuple or a brace-free/printed atom name."""
     if isinstance(sym, tuple):
@@ -508,8 +490,6 @@ def _resolve_atom(sym) -> tuple:
         if inner[0] != "j":
             raise UnknownSymbolError(f"Dalpha applies to jet coordinates: {name!r}")
         return ("D", inner[1])
-    if name.startswith("Dalphastar[") and name.endswith("]"):
-        return ("R", name[len("Dalphastar["):-1])
     if "_" in name:
         base, sub = name.split("_", 1)
         sub = sub.strip("{}")
@@ -590,8 +570,6 @@ def _atom_total_derivative(atom: tuple, v: str, cap: int) -> Monomial | None:
         if len(idx) > cap:
             raise JetOrderError("total derivative exceeds jet-order cap on a fractional marker")
         return ((("D", idx), 1),)
-    if kind == "R":
-        raise ExprError("adjoint fractional marker cannot be differentiated")
     return None  # alpha
 
 
@@ -619,14 +597,14 @@ def _derive(e: Expr, v: str, cap: int, jets_chain: bool) -> Expr:
 
 def total_derivative(e: Expr, v: str, max_order: int | None = None) -> Expr:
     """Total derivative D_v: chains through jet coordinates and function symbols."""
-    cap = max_jet_order() if max_order is None else max_order
+    cap = _MAX_JET_ORDER if max_order is None else max_order
     return _derive(e, v, cap, jets_chain=True)
 
 
 def point_derivative(e: Expr, v: str, max_order: int | None = None) -> Expr:
     """Derivative on (t, x, u)-space: function symbols depend on (t, x),
     while u and its jets are unrelated coordinates."""
-    cap = max_jet_order() if max_order is None else max_order
+    cap = _MAX_JET_ORDER if max_order is None else max_order
     return _derive(e, v, cap, jets_chain=False)
 
 
@@ -737,7 +715,7 @@ def substitute(e: Expr, rules: Mapping, max_order: int | None = None) -> Expr:
     Raises SubstitutionError on rule cycles or when the fixpoint is not
     reached within the jet-order bound.
     """
-    cap = max_jet_order() if max_order is None else max_order
+    cap = _MAX_JET_ORDER if max_order is None else max_order
     replacement = _compile_rules(tuple(rules.items()), cap).replacement
 
     current = e
@@ -844,8 +822,6 @@ def _atom_latex(atom: tuple) -> str:
         return base + "_{" + "".join(_var_latex(v) for v in atom[2]) + "}"
     if kind == "D":
         return r"D_{t}^{\alpha}" + _atom_latex(("j", atom[1]))
-    if kind == "R":
-        return r"(D_{t}^{\alpha})^{*}" + _LATEX_FN[atom[1]]
     return r"\alpha"
 
 

@@ -323,7 +323,6 @@ def gamma_reciprocal(x: float) -> float:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    max_residual: float
     interior_max: float
     tcut: float
     K: int
@@ -377,7 +376,6 @@ def residual_on_grid(
     kmin = max(int(math.ceil(cut / u.dt)), 1)
     inner = res[tuple(interior)]
     return ResidualReport(
-        max_residual=float(np.max(inner[1:])),
         interior_max=float(np.max(inner[kmin:])),
         tcut=kmin * u.dt,
         K=u.K,

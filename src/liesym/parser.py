@@ -13,8 +13,8 @@ The printer in :mod:`liesym.expr` emits exactly this grammar, so
 Coordinates: the variables t x y z w x5 x6 ... (x1..x4 alias x y z w), the
 dependent variable u, alpha, the function symbols phi and F, and derivative
 subscripts u_t, u_{xy}, phi_x, F_{tt} (braces required when the subscript
-spans more than one character).  Dalpha[u_..] and Dalphastar[phi] denote the
-fractional-derivative markers used by fractional conserved vectors.
+spans more than one character).  Dalpha[u_..] denotes the fractional time
+derivative of a jet coordinate, as used by fractional conserved vectors.
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ class _Parser:
             self.lex.expect(")")
             return e
         if kind == "name":
-            if value in ("Dalpha", "Dalphastar"):
+            if value == "Dalpha":
                 self.lex.expect("[")
                 inner = self.lex.expect("name")
                 self.lex.expect("]")

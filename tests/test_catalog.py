@@ -14,8 +14,8 @@ from liesym.catalog import (
     count_formula,
     exact_solutions,
     generators,
-    solution_residual,
 )
+from liesym.expr import substitute
 
 EXPECTED_INTEGER = {1: 7, 2: 10, 3: 14, 4: 19}
 EXPECTED_FRACTIONAL = {1: 4, 2: 6, 3: 9, 4: 13}
@@ -126,12 +126,12 @@ class TestExactSolutions:
             eq = HeatEquation(n, INTEGER)
             for sol in exact_solutions(eq):
                 if sol.expr is not None:
-                    assert solution_residual(sol.expr, eq).is_zero
+                    assert substitute(eq.residual_expr(), {"u": sol.expr}).is_zero
 
     def test_quadratic_residual_value(self):
         eq = HeatEquation(1, INTEGER)
         quad = next(s for s in exact_solutions(eq) if s.name == "quadratic")
-        assert solution_residual(quad.expr, eq).is_zero
+        assert substitute(eq.residual_expr(), {"u": quad.expr}).is_zero
 
     def test_exponential_and_kernel_numeric(self):
         from .helpers import heat_residual_stencil
@@ -171,10 +171,6 @@ class TestExactSolutions:
                                     alpha=alpha, zero_at_origin=True)
             vals.append(residual_on_grid(eq, g, alpha).interior_max)
         assert vals[2] < vals[0]
-
-    def test_solution_residual_rejects_fractional(self):
-        with pytest.raises(ValueError):
-            solution_residual(parse("x"), HeatEquation(1, FRACTIONAL))
 
 
 def test_invalid_dimension_and_regime():

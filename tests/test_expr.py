@@ -71,7 +71,8 @@ class TestParse:
         e = parse("Dalpha[u] - u_{xx}")
         assert str(e) == "-u_{xx} + Dalpha[u]"
         assert parse(str(e)) == e
-        assert parse("Dalphastar[phi]") == parse("Dalphastar[phi]")
+        with pytest.raises(ParseError):
+            parse("Dalphastar[phi]")
 
 
 class TestDerivatives:

@@ -313,7 +313,7 @@ class TestResidualOnGrid:
         eq = HeatEquation(1, FRACTIONAL)
         g = GridFunction(1.0 / 64, np.zeros((65, 17)), (0.0,), (1.0 / 16,))
         rep = residual_on_grid(eq, g, 0.5)
-        assert rep.max_residual == 0.0 and rep.interior_max == 0.0
+        assert rep.interior_max == 0.0
 
     def test_kernel_solution_refinement_trend(self):
         eq = HeatEquation(1, FRACTIONAL)
