@@ -46,6 +46,7 @@ __all__ = [
     "spatial_names",
     "canonical_var",
     "var_rank",
+    "sum_of_products",
     "partial_derivative",
     "total_derivative",
     "point_derivative",
@@ -219,6 +220,24 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(sorted(powers.items(), key=_pair_key))
 
 
+def _replace_power(mono: Monomial, i: int, new: tuple) -> Monomial:
+    """mono with one power of its i-th atom taken out and, unless new is (),
+    one power of the atom new put in at its sorted position, merged with a
+    power of new already there: a derivative step without a re-sort."""
+    atom, k = mono[i]
+    out = list(mono)
+    out[i:i + 1] = [(atom, k - 1)] if k != 1 else []
+    if new:
+        key, j = _atom_key(new), 0
+        while j < len(out) and _atom_key(out[j][0]) < key:
+            j += 1
+        if j < len(out) and out[j][0] == new:
+            out[j:j + 1] = [(new, out[j][1] + 1)] if out[j][1] != -1 else []
+        else:
+            out.insert(j, (new, 1))
+    return tuple(out)
+
+
 class Expr:
     """Immutable expression in normal form."""
 
@@ -233,7 +252,7 @@ class Expr:
     def _from_map(mapping: dict) -> "Expr":
         items = [(m, c) for m, c in mapping.items() if c != 0]
         items.sort(key=_term_key)
-        return Expr(tuple(items))
+        return Expr(tuple(items)) if items else _ZERO
 
     # -- constructors -------------------------------------------------------
 
@@ -325,15 +344,7 @@ class Expr:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return _ZERO
-        acc: dict = {}
-        for m1, c1 in self._terms:
-            for m2, c2 in other._terms:
-                mono = _mono_mul(m1, m2)
-                prev = acc.get(mono)
-                acc[mono] = c1 * c2 if prev is None else prev + c1 * c2
-        return Expr._from_map(acc)
+        return sum_of_products(((self, other),))
 
     __rmul__ = __mul__
 
@@ -413,6 +424,19 @@ def _render_term(mono: Monomial, c: Fraction) -> str:
         return str(c)
     body = "*".join(factors)
     return body if c == 1 else f"{c}*{body}"
+
+
+def sum_of_products(pairs: Iterable[tuple[Expr, Expr]]) -> Expr:
+    """Normal form of the sum of a*b over the pairs, accumulated in one map
+    and sorted once; a pair with a zero factor forms no product."""
+    acc: dict = {}
+    for a, b in pairs:
+        for m1, c1 in a._terms:
+            for m2, c2 in b._terms:
+                mono = _mono_mul(m1, m2)
+                prev = acc.get(mono)
+                acc[mono] = c1 * c2 if prev is None else prev + c1 * c2
+    return Expr._from_map(acc)
 
 
 def _coerce(value) -> "Expr":
@@ -526,86 +550,59 @@ def _parse_index_string(body: str) -> tuple[str, ...]:
 # derivatives
 # ---------------------------------------------------------------------------
 
-def partial_derivative(e: Expr, sym) -> Expr:
-    """d e / d sym treating every other atom as an independent symbol."""
-    target = _resolve_atom(sym)
+def _derive(e: Expr, d_atom: Callable[[tuple], tuple | None]) -> Expr:
+    """Chain rule over the atoms of e, where d_atom(atom) is the derivative
+    of one atom: the atom it becomes, () when it is 1, or None when it is 0."""
     acc: dict = {}
     for mono, c in e.terms:
         for i, (atom, k) in enumerate(mono):
-            if atom != target:
-                continue
-            rest = mono[:i] + mono[i + 1:]
-            if k != 1:
-                rest = _mono_mul(rest, ((atom, k - 1),))
-            prev = acc.get(rest)
-            acc[rest] = c * k if prev is None else prev + c * k
-    return Expr._from_map(acc)
-
-
-@functools.cache
-def _atom_total_derivative(atom: tuple, v: str, cap: int) -> Monomial | None:
-    """D_v of a single atom as a monomial, or None when it is constant in v.
-    Memoised like _atom_key (an error is raised again on every call)."""
-    kind = atom[0]
-    if kind == "v":
-        return () if atom[1] == v else None
-    if kind == "j":
-        idx = _sorted_index(atom[1] + (v,))
-        if len(idx) > cap:
-            raise JetOrderError(
-                f"total derivative exceeds jet-order cap {cap}: u_{''.join(idx)}"
-            )
-        return ((("j", idx), 1),)
-    if kind == "f":
-        idx = _sorted_index(atom[2] + (v,))
-        if len(idx) > cap:
-            raise JetOrderError(
-                f"total derivative exceeds jet-order cap {cap}: {atom[1]}_{''.join(idx)}"
-            )
-        return ((("f", atom[1], idx), 1),)
-    if kind == "D":
-        if v == "t":
-            raise ExprError("time total-derivative of a fractional marker is not defined here")
-        idx = _sorted_index(atom[1] + (v,))
-        if len(idx) > cap:
-            raise JetOrderError("total derivative exceeds jet-order cap on a fractional marker")
-        return ((("D", idx), 1),)
-    return None  # alpha
-
-
-def _derive(e: Expr, v: str, cap: int, jets_chain: bool) -> Expr:
-    v = canonical_var(v)
-    acc: dict = {}
-    for mono, c in e.terms:
-        for i, (atom, k) in enumerate(mono):
-            if not jets_chain and atom[0] in ("j", "D"):
-                # point space: u, its jets, and fractional markers are
-                # unrelated coordinates, constant in (t, x)
-                continue
-            datom = _atom_total_derivative(atom, v, cap)
+            datom = d_atom(atom)
             if datom is None:
                 continue
-            rest = mono[:i] + mono[i + 1:]
-            if k != 1:
-                rest = _mono_mul(rest, ((atom, k - 1),))
-            mono_out = _mono_mul(rest, datom)
+            mono_out = _replace_power(mono, i, datom)
             ck = c if k == 1 else c * k
             prev = acc.get(mono_out)
             acc[mono_out] = ck if prev is None else prev + ck
     return Expr._from_map(acc)
 
 
+def partial_derivative(e: Expr, sym) -> Expr:
+    """d e / d sym treating every other atom as an independent symbol."""
+    target = _resolve_atom(sym)
+    return _derive(e, lambda atom: () if atom == target else None)
+
+
+@functools.cache
+def _atom_total_derivative(v: str, cap: int, jets_chain: bool, atom: tuple) -> tuple | None:
+    """D_v of a single atom (see _derive).  Memoised like _atom_key (an
+    error is raised again on every call)."""
+    kind = atom[0]
+    if kind == "v":
+        return () if atom[1] == v else None
+    if kind == "a" or (not jets_chain and kind in ("j", "D")):
+        # alpha is constant; on point space u, its jets and fractional
+        # markers are unrelated coordinates, constant in (t, x)
+        return None
+    if kind == "D" and v == "t":
+        raise ExprError("time total-derivative of a fractional marker is not defined here")
+    # a jet, function-symbol or fractional atom carries its index last
+    new = atom[:-1] + (_sorted_index(atom[-1] + (v,)),)
+    if len(new[-1]) > cap:
+        raise JetOrderError(f"total derivative exceeds jet-order cap {cap}: {binding_key(new)}")
+    return new
+
+
 def total_derivative(e: Expr, v: str, max_order: int | None = None) -> Expr:
     """Total derivative D_v: chains through jet coordinates and function symbols."""
     cap = _MAX_JET_ORDER if max_order is None else max_order
-    return _derive(e, v, cap, jets_chain=True)
+    return _derive(e, functools.partial(_atom_total_derivative, canonical_var(v), cap, True))
 
 
 def point_derivative(e: Expr, v: str, max_order: int | None = None) -> Expr:
     """Derivative on (t, x, u)-space: function symbols depend on (t, x),
     while u and its jets are unrelated coordinates."""
     cap = _MAX_JET_ORDER if max_order is None else max_order
-    return _derive(e, v, cap, jets_chain=False)
+    return _derive(e, functools.partial(_atom_total_derivative, canonical_var(v), cap, False))
 
 
 # ---------------------------------------------------------------------------
@@ -721,10 +718,10 @@ def substitute(e: Expr, rules: Mapping, max_order: int | None = None) -> Expr:
     current = e
     for _ in range(cap + 2):
         hit = False
-        acc: dict = {}
+        products = []
         for mono, c in current.terms:
             plain: list = []
-            factors: list[Expr] = []
+            factor = _ONE
             for atom, k in mono:
                 rep = replacement(atom)
                 if rep is None:
@@ -735,14 +732,9 @@ def substitute(e: Expr, rules: Mapping, max_order: int | None = None) -> Expr:
                         raise SubstitutionError(
                             f"cannot substitute into negative power of {atom_name(atom)}"
                         )
-                    factors.append(rep ** k)
-            term = Expr(((tuple(plain), c),))
-            for f in factors:
-                term = term * f
-            for m, tc in term.terms:
-                prev = acc.get(m)
-                acc[m] = tc if prev is None else prev + tc
-        current = Expr._from_map(acc)
+                    factor = factor * rep ** k
+            products.append((Expr(((tuple(plain), c),)), factor))
+        current = sum_of_products(products)
         if not hit:
             return current
     # one final scan: anything still substitutable means no fixpoint

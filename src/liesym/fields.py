@@ -24,6 +24,8 @@ from .expr import (
     partial_derivative,
     point_derivative,
     spatial_name,
+    spatial_names,
+    sum_of_products,
     to_latex,
     var,
 )
@@ -32,7 +34,6 @@ __all__ = [
     "VectorField",
     "DimensionMismatchError",
     "lie_bracket",
-    "field_apply",
     "vf_add",
     "vf_scale",
     "Decomposition",
@@ -127,27 +128,29 @@ def vf_scale(c, a: VectorField, name: str | None = None) -> VectorField:
     )
 
 
-def field_apply(A: VectorField, f: Expr) -> Expr:
-    """Action of the field on a function of (t, x_i, u); opaque function
-    symbols inside f are chained through their (t, x) dependence."""
-    out = A.xi0 * point_derivative(f, "t")
-    for i in range(A.n):
-        out = out + A.xi[i] * point_derivative(f, spatial_name(i + 1))
-    out = out + A.eta * partial_derivative(f, ("j", ()))
-    return out
+@lru_cache(maxsize=4096)
+def _jacobian(vf: VectorField) -> tuple[tuple[Expr, ...], ...]:
+    """Row k holds d_v of component k for v in (t, x_1..x_n, u); function
+    symbols in eta are chained through their (t, x) dependence.  Built once
+    per field for all of its brackets; the cached rows are shared."""
+    names = ("t", *spatial_names(vf.n))
+    return tuple(
+        tuple(point_derivative(c, v) for v in names) + (partial_derivative(c, ("j", ())),)
+        for c in vf.components()
+    )
 
 
 def lie_bracket(A: VectorField, B: VectorField) -> VectorField:
-    """Commutator [A, B], componentwise A(B^k) - B(A^k)."""
+    """Commutator [A, B], componentwise sum_v A^v d_v B^k - B^v d_v A^k over
+    v in (t, x_1..x_n, u), each component accumulated in one normal form."""
     if A.n != B.n:
         raise DimensionMismatchError(f"{A.name} and {B.name} have different dimensions")
-    return VectorField(
-        f"[{A.name},{B.name}]",
-        A.n,
-        field_apply(A, B.xi0) - field_apply(B, A.xi0),
-        tuple(field_apply(A, B.xi[i]) - field_apply(B, A.xi[i]) for i in range(A.n)),
-        field_apply(A, B.eta) - field_apply(B, A.eta),
-    )
+    a, minus_b = A.components(), [-c for c in B.components()]
+    comps = [
+        sum_of_products((*zip(a, db), *zip(minus_b, da)))
+        for da, db in zip(_jacobian(A), _jacobian(B))
+    ]
+    return VectorField(f"[{A.name},{B.name}]", A.n, comps[0], tuple(comps[1:-1]), comps[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +279,10 @@ def decompose_in_basis(f: VectorField, basis: Sequence[VectorField]) -> Decompos
     for unknown, c in solution.items():
         k, d = divmod(unknown, dmax + 1)
         lambdas[k] = lambdas[k] + Expr.number(c) * alpha() ** d
-    # independent verification, componentwise
-    for comp, acc in enumerate(f.components()):
-        for k, b in enumerate(basis):
-            if lambdas[k]:
-                acc = acc - lambdas[k] * b.components()[comp]
+    # independent verification, componentwise: f - sum_k lambda_k b_k == 0
+    terms = [(-lam, b.components()) for lam, b in zip(lambdas, basis) if lam]
+    for comp, fc in enumerate(f.components()):
+        acc = sum_of_products([(Expr.one(), fc)] + [(m, bc[comp]) for m, bc in terms])
         if not equals_zero(acc):
             return Decomposition("outside")
     coeffs = {basis[k].name: lam for k, lam in enumerate(lambdas) if lam}

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 
-from liesym.expr import Expr, alpha, func_sym, jet, var
+from liesym.expr import Expr, alpha, func_sym, jet, spatial_names, var
 from liesym.fields import VectorField
 
 # atoms keep the jet order <= 2 so that two more total derivatives stay
@@ -32,18 +32,17 @@ def jet_polynomials(draw, atoms=_ATOMS_1D, max_terms=4, max_factors=3):
     return out
 
 
-_POINT_ATOMS = (var("t"), var("x"), jet())
-
-
 @st.composite
-def point_coefficients(draw):
+def point_coefficients(draw, n=1):
+    """Random polynomial in t, x_1..x_n and u."""
+    atoms = (var("t"), *(var(v) for v in spatial_names(n)), jet())
     n_terms = draw(st.integers(0, 3))
     out = Expr.zero()
     for _ in range(n_terms):
         c = draw(_COEFFS)
         term = Expr.number(c)
         for _ in range(draw(st.integers(0, 2))):
-            term = term * draw(st.sampled_from(_POINT_ATOMS))
+            term = term * draw(st.sampled_from(atoms))
         out = out + term
     return out
 
@@ -51,7 +50,7 @@ def point_coefficients(draw):
 @st.composite
 def point_fields(draw, n=1):
     name = f"V{draw(st.integers(0, 999))}"
-    xi0 = draw(point_coefficients())
-    xi = tuple(draw(point_coefficients()) for _ in range(n))
-    eta = draw(point_coefficients())
+    xi0 = draw(point_coefficients(n))
+    xi = tuple(draw(point_coefficients(n)) for _ in range(n))
+    eta = draw(point_coefficients(n))
     return VectorField(name, n, xi0, xi, eta)

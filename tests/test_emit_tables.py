@@ -40,10 +40,11 @@ def test_render_matches_golden_tables(n, regime):
 @pytest.fixture
 def calls(monkeypatch):
     """Calls of lie_bracket per ordered pair of field names and of
-    decompose_in_basis per (field, basis) names, counted from empty table and
-    bracket caches in every liesym module that binds them."""
+    decompose_in_basis per (field, basis) names, counted from empty table,
+    bracket and Jacobian caches in every liesym module that binds them."""
     fields._commutator_table.cache_clear()
     fields._pair_bracket.cache_clear()
+    fields._jacobian.cache_clear()
     keys = {
         "lie_bracket": lambda a, b: (a.name, b.name),
         "decompose_in_basis": lambda f, basis: (f.name, tuple(b.name for b in basis)),
@@ -83,3 +84,16 @@ def test_algebra_report_brackets_each_pair_once(calls):
     finite = [g.field for g in generators(eq) if g.klass != "infinite"]
     assert dict(calls["lie_bracket"]) == _each_pair_once(finite)
     assert set(calls["decompose_in_basis"].values()) == {1}
+
+
+@pytest.mark.parametrize("run", [
+    lambda: emit_tables.render(4, INTEGER),
+    lambda: emit_tables.render(4, FRACTIONAL),
+    lambda: _algebra_report(HeatEquation(5, INTEGER)),
+], ids=["render-n4-integer", "render-n4-fractional", "algebra-n5-integer"])
+def test_each_bracketed_field_builds_its_jacobian_once(calls, run):
+    run()
+    bracketed = {name for pair in calls["lie_bracket"] for name in pair}
+    assert bracketed
+    # a cache miss is a build: one per distinct field, none repeated
+    assert fields._jacobian.cache_info().misses == len(bracketed)

@@ -38,18 +38,17 @@ TEST_ONLY_NAMES = {
 
 @functools.cache
 def _identifiers() -> frozenset:
-    """Every identifier (name, attribute or imported alias) in the
-    non-test Python sources."""
+    """Every name read (an ast.Name in Load context) and every attribute
+    name in the non-test Python sources.  Importing a name or assigning to
+    it is not a use."""
     found = set()
     for d in CALLER_DIRS:
         for path in (ROOT / d).rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     found.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     found.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    found.update(node.name.split("."))
     return frozenset(found)
 
 

@@ -4,12 +4,13 @@ import itertools
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from liesym import fields, parse
 from liesym.catalog import FRACTIONAL, INTEGER, HeatEquation, generators
-from liesym.expr import Expr, alpha
+from liesym.expr import Expr, alpha, partial_derivative, point_derivative, spatial_name
 from liesym.fields import (
     DimensionMismatchError,
     VectorField,
@@ -320,6 +321,40 @@ def test_bilinearity_over_rationals(a, b):
 @given(point_fields(), point_fields())
 def test_antisymmetry_random(a, b):
     assert vf_add(lie_bracket(a, b), lie_bracket(b, a)).is_zero()
+
+
+def _apply(A, f):
+    """Reference action A(f) = sum_v A^v d_v f over v in (t, x_1..x_n, u),
+    one derivative and one product at a time."""
+    out = A.xi0 * point_derivative(f, "t")
+    for i, xi in enumerate(A.xi):
+        out = out + xi * point_derivative(f, spatial_name(i + 1))
+    return out + A.eta * partial_derivative(f, "u")
+
+
+def _bracket_by_definition(A, B):
+    """Components A(B^k) - B(A^k) of [A, B]."""
+    return tuple(_apply(A, b) - _apply(B, a) for a, b in zip(A.components(), B.components()))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_bracket_matches_definition_random(n, data):
+    a, b = data.draw(point_fields(n)), data.draw(point_fields(n))
+    assert lie_bracket(a, b).components() == _bracket_by_definition(a, b)
+
+
+@pytest.mark.parametrize("n,regime", [(n, r) for n in (1, 2) for r in (INTEGER, FRACTIONAL)])
+def test_bracket_matches_definition_on_catalog(n, regime):
+    basis = [g.field for g in generators(HeatEquation(n, regime))]
+    # the cases the definition must cover: the infinite generator's F, and
+    # the alpha-dependent coefficients of the fractional catalog
+    assert any(b.involves_function_symbols() for b in basis)
+    if regime == FRACTIONAL:
+        assert any(("a",) in c.atoms() for b in basis for c in b.components())
+    for a, b in itertools.product(basis, repeat=2):
+        assert lie_bracket(a, b).components() == _bracket_by_definition(a, b), (a.name, b.name)
 
 
 def test_zero_field_helpers():
