@@ -169,9 +169,9 @@ def conserved_vector_diff(cv, eq: HeatEquation) -> list[dict]:
     symbols = {"W": parse(entry.W)}
     diffs: list[dict] = []
 
-    def check(part: str, printed_str: str, computed: Expr):
-        printed_expr = parse(printed_str, symbols)
-        delta = printed_expr - computed
+    def check(part: str, printed_str: str, computed: Expr, printed: Expr | None = None):
+        printed = parse(printed_str, symbols) if printed is None else printed
+        delta = printed - computed
         if not delta.is_zero:
             diffs.append({
                 "part": part,
@@ -180,7 +180,7 @@ def conserved_vector_diff(cv, eq: HeatEquation) -> list[dict]:
                 "delta": str(delta),
             })
 
-    check("W", entry.W, cv.W)
+    check("W", entry.W, cv.W, symbols["W"])
     names = "xyzw"
     if eq.regime == "integer":
         check("Ct", entry.Ct, cv.Ct_local)

@@ -337,7 +337,7 @@ def catalog_json_obj(eq: HeatEquation) -> dict:
 
 
 def catalog_latex(eq: HeatEquation) -> str:
-    from .expr import to_latex
+    from .expr import _var_latex, to_latex
     from .fields import _gamma_latex
 
     lines = [r"\begin{eqnarray}"]
@@ -354,8 +354,7 @@ def catalog_latex(eq: HeatEquation) -> str:
                 body = "-"
             elif any(op in body[1:] for op in "+-"):
                 body = "(" + body + ")" if not body.startswith("-") else "-(" + to_latex(-coeff) + ")"
-            sub = vn if len(vn) == 1 else f"x_{{{vn[1:]}}}"
-            parts.append(f"{body}\\partial_{{{sub}}}")
+            parts.append(f"{body}\\partial_{{{_var_latex(vn)}}}")
         rhs = "+".join(parts).replace("+-", "-") if parts else "0"
         lines.append(rf"{_gamma_latex(g.name)} &=& {rhs},\nonumber\\")
     lines.append(r"\end{eqnarray}")

@@ -21,6 +21,8 @@ from .expr import (
     Expr,
     ExprError,
     _func_laplacian,
+    _var_latex,
+    eval_numeric,
     func_sym,
     spatial_name,
     substitute,
@@ -194,12 +196,13 @@ def _atom_arrays(
     phi: GridFunction,
     alpha: float,
 ) -> dict:
-    """Numeric arrays for every atom appearing in the component expressions."""
+    """Numeric arrays for the atoms of the component expressions; alpha is
+    not one of them, since eval_numeric takes it as its alpha_value."""
     dt, dx = u.dt, u.spatial_steps[0]
     taxis = u.t_axis()[:, None]
     xaxis = u.spatial_axis(0)[None, :]
     arrays: dict = {}
-    for atom in sorted(needed, key=repr):
+    for atom in needed:
         kind = atom[0]
         if kind == "v":
             arrays[atom] = taxis if atom[1] == "t" else xaxis
@@ -215,21 +218,9 @@ def _atom_arrays(
             arrays[atom] = rl_derivative_grid(
                 GridFunction(dt, base, u.spatial_starts, u.spatial_steps), spec
             ).values
-        elif kind == "a":
-            arrays[atom] = alpha
         else:
             raise GridError(f"cannot evaluate atom {atom} on a grid")
     return arrays
-
-
-def _eval_on_grid(e: Expr, arrays: dict, shape) -> np.ndarray:
-    out = np.zeros(shape)
-    for mono, c in e.terms:
-        term = np.full(shape, float(c))
-        for atom, k in mono:
-            term = term * np.asarray(arrays[atom], dtype=float) ** k
-        out = out + term
-    return out
 
 
 def divergence_numeric_fractional(
@@ -271,28 +262,22 @@ def divergence_numeric_fractional(
         if abs(val - snapped) > 1e-9 * max(1.0, abs(val)):
             raise GridError(f"cell edge {label}={val} is not a grid line")
 
-    needed = set(cv.W.atoms()) | set(cv.Ct_local.atoms())
-    for c in cv.Cx:
-        needed |= set(c.atoms())
+    needed = cv.Ct_local.atoms() | cv.Cx[0].atoms() | {("f", "phi", ())}
     for node in cv.Ct_nodes:
-        if isinstance(node, FracIntTerm):
-            needed |= set(node.arg.atoms())
-            needed.add(("f", "phi", ()))
-        elif isinstance(node, JTerm):
-            needed |= set(node.f.atoms())
-    arrays = _atom_arrays(needed, u, phi, alpha)
-    shape = u.values.shape
+        needed |= (node.arg if isinstance(node, FracIntTerm) else node.f).atoms()
+    arrays = _atom_arrays(needed - {("a",)}, u, phi, alpha)
 
-    w_vals = _eval_on_grid(cv.W, arrays, shape)
-    ct_vals = _eval_on_grid(cv.Ct_local, arrays, shape)
+    def on_grid(e: Expr) -> np.ndarray:
+        return np.broadcast_to(eval_numeric(e, arrays, alpha), u.values.shape)
+
+    ct_vals = on_grid(cv.Ct_local)
     for node in cv.Ct_nodes:
         if isinstance(node, FracIntTerm):
-            arg_vals = _eval_on_grid(node.arg, arrays, shape)
             ivals = rl_integral_values(
-                GridFunction(dt, arg_vals, u.spatial_starts, u.spatial_steps), 1.0 - alpha
+                GridFunction(dt, on_grid(node.arg), u.spatial_starts, u.spatial_steps), 1.0 - alpha
             )
             ct_vals = ct_vals + arrays[("f", "phi", ())] * ivals
-    cx_vals = _eval_on_grid(cv.Cx[0], arrays, shape)
+    cx_vals = on_grid(cv.Cx[0])
 
     cols = slice(ix1, ix2 + 1)
     ct_line_lo = ct_vals[it1, cols].copy()
@@ -301,7 +286,7 @@ def divergence_numeric_fractional(
     if j_f is not None:
         # one J quadrature per time line, every x-column of the cell at once
         taxis = u.t_axis()
-        f_cols = _eval_on_grid(j_f, arrays, shape)[:, cols]
+        f_cols = on_grid(j_f)[:, cols]
         ffun = lambda s: _interp_columns(s, taxis, f_cols)
         if phi_t is not None:
             gfun = lambda s: phi_t(s[:, None], xaxis[None, cols])
@@ -371,9 +356,7 @@ def conserved_vector_latex(cv: ConservedVector) -> str:
         ct = piece if not ct else ct + "+" + piece
     lines.append(rf"C^{{t}} &=& {ct},\nonumber\\")
     for i, c in enumerate(cv.Cx):
-        name = spatial_name(i + 1)
-        sup = name if len(name) == 1 else f"x_{{{name[1:]}}}"
-        lines.append(rf"C^{{{sup}}} &=& {to_latex(c)},\nonumber\\")
+        lines.append(rf"C^{{{_var_latex(spatial_name(i + 1))}}} &=& {to_latex(c)},\nonumber\\")
     lines.append(rf"W &=& {to_latex(cv.W)}.\nonumber")
     lines.append(r"\end{eqnarray}")
     return "\n".join(lines)

@@ -177,18 +177,6 @@ def atom_name(atom: tuple) -> str:
     return "alpha"
 
 
-def binding_key(atom: tuple) -> str:
-    """Brace-free atom name used for numeric-binding lookups."""
-    kind = atom[0]
-    if kind == "j":
-        return "u" if not atom[1] else "u_" + "".join(atom[1])
-    if kind == "f":
-        return atom[1] if not atom[2] else atom[1] + "_" + "".join(atom[2])
-    if kind == "D":
-        return f"Dalpha[{binding_key(('j', atom[1]))}]"
-    return atom_name(atom)
-
-
 # sorted ((atom, exponent), ...); exponents are nonzero ints
 Monomial = tuple
 
@@ -588,7 +576,7 @@ def _atom_total_derivative(v: str, cap: int, jets_chain: bool, atom: tuple) -> t
     # a jet, function-symbol or fractional atom carries its index last
     new = atom[:-1] + (_sorted_index(atom[-1] + (v,)),)
     if len(new[-1]) > cap:
-        raise JetOrderError(f"total derivative exceeds jet-order cap {cap}: {binding_key(new)}")
+        raise JetOrderError(f"total derivative exceeds jet-order cap {cap}: {atom_name(new)}")
     return new
 
 
@@ -598,11 +586,11 @@ def total_derivative(e: Expr, v: str, max_order: int | None = None) -> Expr:
     return _derive(e, functools.partial(_atom_total_derivative, canonical_var(v), cap, True))
 
 
-def point_derivative(e: Expr, v: str, max_order: int | None = None) -> Expr:
+def point_derivative(e: Expr, v: str) -> Expr:
     """Derivative on (t, x, u)-space: function symbols depend on (t, x),
     while u and its jets are unrelated coordinates."""
-    cap = _MAX_JET_ORDER if max_order is None else max_order
-    return _derive(e, functools.partial(_atom_total_derivative, canonical_var(v), cap, False))
+    return _derive(e, functools.partial(_atom_total_derivative, canonical_var(v),
+                                        _MAX_JET_ORDER, False))
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +692,7 @@ def _compile_rules(rules: tuple, cap: int) -> _CompiledRules:
     return _CompiledRules(rules, cap)
 
 
-def substitute(e: Expr, rules: Mapping, max_order: int | None = None) -> Expr:
+def substitute(e: Expr, rules: Mapping) -> Expr:
     """Replace jet / function / fractional atoms by expressions, repeatedly,
     extending each rule through total derivatives (u_tt rewrites via D_t of
     the u_t rule), until a fixpoint is reached.
@@ -712,11 +700,10 @@ def substitute(e: Expr, rules: Mapping, max_order: int | None = None) -> Expr:
     Raises SubstitutionError on rule cycles or when the fixpoint is not
     reached within the jet-order bound.
     """
-    cap = _MAX_JET_ORDER if max_order is None else max_order
-    replacement = _compile_rules(tuple(rules.items()), cap).replacement
+    replacement = _compile_rules(tuple(rules.items()), _MAX_JET_ORDER).replacement
 
     current = e
-    for _ in range(cap + 2):
+    for _ in range(_MAX_JET_ORDER + 2):
         hit = False
         products = []
         for mono, c in current.terms:
@@ -751,41 +738,35 @@ def equals_zero(e: Expr) -> bool:
 # numeric evaluation
 # ---------------------------------------------------------------------------
 
-def eval_numeric(e: Expr, binding: Mapping[str, float | Callable], alpha_value: float | None = None) -> float:
-    """IEEE-double evaluation.  Binding keys are brace-free atom names
-    ("t", "x", "u_xy", "phi_t", "Dalpha[u]"); a callable bound to a bare
-    function symbol is invoked with keyword arguments for every bound
-    independent variable.  alpha is supplied separately and must lie in (0,1].
+def eval_numeric(e: Expr, binding: Mapping, alpha_value: float | None = None):
+    """IEEE-double evaluation at a point or, with numpy float arrays as
+    values, on a whole grid: the arrays broadcast against each other.
+    Binding keys are atoms or atom names, printed or brace-free ("t",
+    "u_{xy}" or "u_xy", "phi_t", "Dalpha[u]").  alpha is supplied
+    separately and must lie in (0,1].  Each term is float(c) times value**k
+    in term order, and the terms are summed from 0.0.
     """
     if alpha_value is not None and not (0.0 < alpha_value <= 1.0):
         raise EvaluationError(f"alpha_value must lie in (0, 1]: {alpha_value}")
-    var_values = {
-        k: float(v) for k, v in binding.items()
-        if isinstance(v, (int, float)) and ("_" not in k and k not in ("u", "alpha"))
-        and not k.startswith("Dalpha")
-    }
-
-    def atom_value(atom: tuple) -> float:
-        if atom == ("a",):
-            if alpha_value is None:
-                raise EvaluationError("alpha present but no alpha_value supplied")
-            return alpha_value
-        key = binding_key(atom)
-        if key in binding:
-            bound = binding[key]
-            if callable(bound):
-                if atom[0] == "f" and atom[2] == ():
-                    return float(bound(**var_values))
-                raise EvaluationError(f"callable binding only allowed for bare function symbols: {key}")
-            return float(bound)
-        raise EvaluationError(f"unbound symbol {key!r}")
-
+    values = {_resolve_atom(k): v if hasattr(v, "shape") else float(v) for k, v in binding.items()}
+    values[("a",)] = alpha_value
     total = 0.0
     for mono, c in e.terms:
         val = float(c)
         for atom, k in mono:
-            val *= atom_value(atom) ** k
-        total += val
+            value = values.get(atom)
+            if value is None:
+                raise EvaluationError("alpha present but no alpha_value supplied" if atom == ("a",)
+                                      else f"unbound symbol {atom_name(atom)!r}")
+            val = val * value ** k
+        total = total + val
+    if getattr(total, "ndim", 0):
+        import numpy as np  # only array values reach here; they come from numpy
+
+        if not np.isfinite(total).all():
+            raise EvaluationError("non-finite evaluation result on the grid")
+        return total
+    total = float(total)
     if not math.isfinite(total):
         raise EvaluationError(f"non-finite evaluation result: {total}")
     return total
@@ -801,8 +782,7 @@ _LATEX_FN = {"phi": r"\phi", "F": "F"}
 def _atom_latex(atom: tuple) -> str:
     kind = atom[0]
     if kind == "v":
-        name = atom[1]
-        return name if len(name) == 1 else f"x_{{{name[1:]}}}"
+        return _var_latex(atom[1])
     if kind == "j":
         if not atom[1]:
             return "u"

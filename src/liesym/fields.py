@@ -321,16 +321,15 @@ class CommutatorTable:
                 entries.append(rec)
         return {"basis": [b.name for b in self.basis], "entries": entries}
 
-    def to_latex(self, name_map=None) -> str:
-        name_map = name_map or _gamma_latex
+    def to_latex(self) -> str:
         lines = [r"\begin{tabular}{lll}"]
         cells = []
         for e in self.entries:
             if e.decomposition.in_span and not e.decomposition.coeffs:
                 continue
-            lhs = rf"$[{name_map(self.basis[e.i].name)},{name_map(self.basis[e.j].name)}]_{{LB}}"
+            lhs = rf"$[{_gamma_latex(self.basis[e.i].name)},{_gamma_latex(self.basis[e.j].name)}]_{{LB}}"
             if e.decomposition.in_span:
-                rhs = _combo_latex(e.decomposition.coeffs, name_map)
+                rhs = _combo_latex(e.decomposition.coeffs)
             elif e.decomposition.infinite_family:
                 rhs = r"\text{(infinite family)}"
             else:
@@ -348,22 +347,22 @@ def _gamma_latex(name: str) -> str:
     return rf"\mathrm{{{name}}}"
 
 
-def _combo_latex(coeffs: dict[str, Expr], name_map) -> str:
+def _combo_latex(coeffs: dict[str, Expr]) -> str:
     if not coeffs:
         return "0"
     parts = []
     for name, c in sorted(coeffs.items()):
         cs = to_latex(c)
         if cs == "1":
-            parts.append("+" + name_map(name))
+            parts.append("+" + _gamma_latex(name))
         elif cs == "-1":
-            parts.append("-" + name_map(name))
+            parts.append("-" + _gamma_latex(name))
         else:
             if not (cs.startswith("+") or cs.startswith("-")):
                 cs = "+" + cs
             if any(op in cs[1:] for op in "+-"):
                 cs = cs[0] + "(" + cs[1:] + ")"
-            parts.append(cs + name_map(name))
+            parts.append(cs + _gamma_latex(name))
     out = "".join(parts)
     return out[1:] if out.startswith("+") else out
 

@@ -1,8 +1,10 @@
 """Conserved-vector construction, symbolic certification, the adjoint shell,
 print audit, and numeric (cell-flux) verification."""
 
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -280,6 +282,28 @@ class TestNumericFlux:
 
         with pytest.raises(GridError):
             divergence_numeric_fractional(cv, eqf, u, phi, (0.5001, 1.0, 0.0, 1.0), ALPHA)
+
+    def test_boundary_integrals_golden(self, eqf):
+        """Every finite generator's four boundary integrals on test 6b's data,
+        to the bit (see the note in the golden file)."""
+        golden = json.loads((Path(__file__).parent / "data" / "flux_n1_fractional.json")
+                            .read_text(encoding="utf-8"))
+        alpha, t_end = golden["alpha"], golden["T"]
+        c = math.gamma(alpha + 1.0) / 2.0
+        spatial = ((0.0, 1.0, golden["x_points"]),)
+        u = GridFunction.sample(lambda t, xs: t ** (alpha - 1.0), t_end, golden["K"], spatial,
+                                zero_at_origin=True)
+        phi = GridFunction.sample(lambda t, xs: (t_end - t) ** alpha + c * xs[0] ** 2, t_end,
+                                  golden["K"], spatial)
+        phi_t = lambda mu, xv: -alpha * (t_end - mu) ** (alpha - 1.0)
+        got = {}
+        for g in generators(eqf):
+            if g.klass != "infinite":
+                rep = divergence_numeric_fractional(
+                    conserved_vector(g, eqf, attach_diff=False), eqf, u, phi,
+                    tuple(golden["cell"]), alpha, qnodes=golden["qnodes"], phi_t=phi_t)
+                got[g.name] = {k: repr(v) for k, v in rep.boundary_integrals.items()}
+        assert got == golden["boundary_integrals"]
 
 
 class TestBatchedJ:

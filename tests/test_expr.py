@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +26,7 @@ from liesym.expr import (
     var,
 )
 
-from .strategies import jet_polynomials
+from .strategies import _ATOMS_1D, jet_polynomials
 
 
 class TestParse:
@@ -194,17 +195,51 @@ class TestEval:
         with pytest.raises(EvaluationError):
             eval_numeric(parse("alpha"), {}, alpha_value=1.5)
 
-    def test_callable_function_symbol(self):
-        val = eval_numeric(parse("phi*x"), {"x": 2.0, "t": 0.5,
-                                            "phi": lambda t, x: t + x})
-        assert val == pytest.approx(5.0)
-
     def test_characteristic_on_grid_point(self):
         w = parse("2*t*u_t - alpha*x*u_x")
         val = eval_numeric(w, {"t": 1.0, "x": 2.0, "u_t": 0.25, "u_x": -1.0},
                            alpha_value=0.5)
         assert math.isfinite(val)
         assert val == pytest.approx(2 * 0.25 + 0.5 * 2.0)
+
+    def test_atom_and_name_keys_agree(self):
+        e = parse("2*t*u_{xy} - phi_t*Dalpha[u_x] + alpha*x^2")
+        values = (0.7, -1.5, 0.25, 3.0, 1.25)
+        by_name = eval_numeric(e, dict(zip(("t", "x", "u_xy", "phi_t", "Dalpha[u_x]"), values)), 0.5)
+        by_print = eval_numeric(e, dict(zip(("t", "x", "u_{xy}", "phi_t", "Dalpha[u_x]"), values)),
+                                0.5)
+        atoms = (("v", "t"), ("v", "x"), ("j", ("x", "y")), ("f", "phi", ("t",)), ("D", ("x",)))
+        by_atom = eval_numeric(e, dict(zip(atoms, values)), 0.5)
+        assert by_name == by_print == by_atom == 2 * 0.7 * 0.25 - 3.0 * 1.25 + 0.5 * 1.5 ** 2
+
+    def test_non_finite_array_entry(self):
+        x = np.array([0.5, np.inf, 2.0])
+        with pytest.raises(EvaluationError):
+            eval_numeric(parse("t*x + 1"), {"t": np.ones(3), "x": x})
+
+    def test_unbound_atom_with_array_values(self):
+        with pytest.raises(EvaluationError, match="u_x"):
+            eval_numeric(parse("t*u_x"), {"t": np.ones(3)})
+
+
+# one fixed array of values per default atom (alpha is passed separately)
+_RNG = np.random.default_rng(5)
+_ATOM_ARRAYS = {
+    atom: _RNG.uniform(0.5, 2.0, 7) for e in _ATOMS_1D for atom in e.atoms() if atom != ("a",)
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(jet_polynomials())
+def test_eval_numeric_on_arrays_is_elementwise(e):
+    got = np.broadcast_to(eval_numeric(e, _ATOM_ARRAYS, 0.5), (7,))
+    for i in range(7):
+        # each element bound on its own as a length-1 array: numpy's vectorised
+        # power may differ from the C library pow of float scalars in the last bit
+        own = eval_numeric(e, {a: v[i:i + 1] for a, v in _ATOM_ARRAYS.items()}, 0.5)
+        assert np.array_equal(np.broadcast_to(own, (1,)), got[i:i + 1])
+        scalar = eval_numeric(e, {a: float(v[i]) for a, v in _ATOM_ARRAYS.items()}, 0.5)
+        assert scalar == pytest.approx(float(got[i]), rel=1e-12, abs=1e-12)
 
 
 # -- properties --------------------------------------------------------------

@@ -397,12 +397,6 @@ class TestJQuadrature:
         expect = f(t0) * right - g(t0) * left
         assert abs(dj - expect) < 5e-3
 
-    def test_grid_function_arguments(self):
-        gf = GridFunction.sample(lambda t, xs: t, 2.0, 256)
-        val = j_quadrature(gf, gf, 0.5, 1.0, 2.0, nodes=64)
-        ref = j_quadrature(lambda t: t, lambda t: t, 0.5, 1.0, 2.0, nodes=64)
-        assert abs(val - ref) < 1e-3
-
     def test_domain_guards(self):
         with pytest.raises(GridError):
             j_quadrature(lambda t: 1.0, lambda t: 1.0, 0.5, 2.5, 2.0)
