@@ -295,16 +295,9 @@ def exact_solutions(eq: HeatEquation, k: float = 1.0) -> list[ExactSolution]:
     def linear_power(t, xs, alpha):
         return xs[0] * t ** (alpha - 1.0)
 
-    @lru_cache(maxsize=1 << 16)
-    def _time_part(t, alpha):
-        # kept across calls: invariance checks resample the same time axis
-        return t ** (alpha - 1.0) * mittag_leffler(alpha, alpha, -(k ** 2) * t ** alpha)
-
     def eigen(t, xs, alpha):
-        # the time factor depends on t alone: one lookup per distinct t
-        ts, inverse = np.unique(t, return_inverse=True)
-        part = np.array([_time_part(s, alpha) for s in ts])
-        return part[inverse].reshape(np.shape(t)) * np.cos(k * xs[0])
+        return (t ** (alpha - 1.0) * mittag_leffler(alpha, alpha, -(k ** 2) * t ** alpha)
+                * np.cos(k * xs[0]))
 
     return [
         ExactSolution("power", FRACTIONAL, n, power,

@@ -237,6 +237,8 @@ def divergence_numeric_fractional(
     [t1, t2] x [x1, x2]: evaluates the boundary integrals
     int C^t dx on the two time lines and int C^x dt on the two space lines,
     and reports their imbalance normalized by the total boundary magnitude.
+    C^t is formed on the two time lines only, and its I^(1-alpha) term
+    convolves only the Toeplitz row blocks that hold them.
 
     u and phi are (K+1) x (M+1) grids over [0, T] x [xlo, xhi]; cells touching
     t = 0 are rejected (the data there is singular by design).  phi_t may be
@@ -270,18 +272,19 @@ def divergence_numeric_fractional(
     def on_grid(e: Expr) -> np.ndarray:
         return np.broadcast_to(eval_numeric(e, arrays, alpha), u.values.shape)
 
-    ct_vals = on_grid(cv.Ct_local)
+    lines = [it1, it2]
+    ct_lines = on_grid(cv.Ct_local)[lines]
     for node in cv.Ct_nodes:
         if isinstance(node, FracIntTerm):
             ivals = rl_integral_values(
-                GridFunction(dt, on_grid(node.arg), u.spatial_starts, u.spatial_steps), 1.0 - alpha
+                GridFunction(dt, on_grid(node.arg), u.spatial_starts, u.spatial_steps),
+                1.0 - alpha, rows=lines,
             )
-            ct_vals = ct_vals + arrays[("f", "phi", ())] * ivals
+            ct_lines = ct_lines + arrays[("f", "phi", ())][lines] * ivals
     cx_vals = on_grid(cv.Cx[0])
 
     cols = slice(ix1, ix2 + 1)
-    ct_line_lo = ct_vals[it1, cols].copy()
-    ct_line_hi = ct_vals[it2, cols].copy()
+    ct_line_lo, ct_line_hi = ct_lines[:, cols]
     j_f = next((n.f for n in cv.Ct_nodes if isinstance(n, JTerm)), None)
     if j_f is not None:
         # one J quadrature per time line, every x-column of the cell at once

@@ -157,7 +157,7 @@ def _gl_integral_weights(beta: float, count: int) -> np.ndarray:
 _BLOCK_ROWS = 64
 
 
-def _causal_convolve(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _causal_convolve(w: np.ndarray, v: np.ndarray, rows: Sequence[int] | None = None) -> np.ndarray:
     """(w * v)[k] = sum_{j<=k} w_j v_{k-j} along axis 0, as a blocked
     lower-triangular Toeplitz product.
 
@@ -165,18 +165,21 @@ def _causal_convolve(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     most _BLOCK_ROWS output rows k0..k1-1 is one BLAS matmul of the slab
     T[k0:k1, :k1] with v[:k1].  Every output sums the same products w_j
     v_{k-j} as the direct sum (plus exact zeros), only in another order, so
-    the per-entry error bound of a dot product holds for each entry."""
+    the per-entry error bound of a dot product holds for each entry.  A list
+    of rows computes only their blocks and returns those rows, bit-identical
+    to the same rows of the full product (the same block matmuls)."""
     K = v.shape[0]
     flat = v.reshape(K, -1)
     # row k of T is the window starting at K-1-k of (w_{K-1}, ..., w_0, 0, ..., 0)
     padded = np.concatenate((w[K - 1::-1], np.zeros(K - 1)))
     windows = np.lib.stride_tricks.sliding_window_view(padded, K)
     out = np.empty_like(flat)
-    for k0 in range(0, K, _BLOCK_ROWS):
+    for k0 in range(0, K, _BLOCK_ROWS) if rows is None else {r - r % _BLOCK_ROWS for r in rows}:
         k1 = min(k0 + _BLOCK_ROWS, K)
         slab = np.ascontiguousarray(windows[K - k1:K - k0][::-1, :k1])
         out[k0:k1] = slab @ flat[:k1]
-    return out.reshape(v.shape)
+    out = out.reshape(v.shape)
+    return out if rows is None else out[list(rows)]
 
 
 def rl_derivative_grid(u: GridFunction, spec: FracDerivSpec) -> GridFunction:
@@ -226,12 +229,13 @@ def _l1_left(u: GridFunction, a: float) -> np.ndarray:
     return out.reshape(u.values.shape)
 
 
-def rl_integral_values(u: GridFunction, beta: float) -> np.ndarray:
-    """Left fractional integral I^beta along the time axis (GL quadrature)."""
+def rl_integral_values(u: GridFunction, beta: float, rows: Sequence[int] | None = None) -> np.ndarray:
+    """Left fractional integral I^beta along the time axis (GL quadrature);
+    only the time rows listed in rows, in that order, when given."""
     if beta <= 0.0:
         raise GridError("integral order must be positive")
     w = _gl_integral_weights(beta, u.K)
-    return _causal_convolve(w, u.values) * u.dt ** beta
+    return _causal_convolve(w, u.values, rows) * u.dt ** beta
 
 
 def right_rl_integral_values(u: GridFunction, beta: float) -> np.ndarray:
@@ -244,52 +248,52 @@ def right_rl_integral_values(u: GridFunction, beta: float) -> np.ndarray:
 # Mittag-Leffler
 # ---------------------------------------------------------------------------
 
-def mittag_leffler(alpha: float, beta: float, z: float) -> float:
+def mittag_leffler(alpha: float, beta: float, z: float | np.ndarray) -> float | np.ndarray:
     """Two-parameter Mittag-Leffler E_{alpha,beta}(z) by direct series with
-    log-gamma terms and compensated summation; |z| <= 50 (series window)."""
+    log-gamma terms and compensated summation; |z| <= 50 (series window).
+    An array z gives an array of its shape: each entry stops on its own
+    terms, is the fsum of its own terms and raises what its scalar call would."""
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
-    if abs(z) > 50.0:
-        raise ValueError(f"|z| = {abs(z)} outside the series-safe window (50)")
-    terms = []
-    running = 0.0
-    small_streak = 0
-    largest = 0.0
-    log_absz = math.log(abs(z)) if z != 0.0 else 0.0
-    k = 0
-    while True:
+    flat = np.asarray(z, dtype=float).ravel()
+    if np.abs(flat).max(initial=0.0) > 50.0:
+        raise ValueError(f"|z| = {np.abs(flat).max()} outside the series-safe window (50)")
+    total = np.empty_like(flat)
+    todo, count = np.arange(flat.size), 64
+    while todo.size:
+        # terms k < count, one row per entry still to do; an entry that has
+        # not stopped starts over with four times as many terms
+        zs, k = flat[todo], np.arange(min(count, 10001))
         g = alpha * k + beta
-        if (g <= 0.0 and g == math.floor(g)) or (z == 0.0 and k > 0):
-            term = 0.0  # 1/Gamma at a pole, or only the k=0 term survives
-        else:
-            lg, sign = _lgamma_signed(g)
-            l = k * log_absz - lg
-            if l > 700.0:
-                raise OverflowError(
-                    "Mittag-Leffler series term exceeds double range; "
-                    f"alpha={alpha}, beta={beta}, z={z}"
-                )
-            term = sign * math.exp(l)
-            if z < 0.0 and k % 2 == 1:
-                term = -term
-        terms.append(term)
-        largest = max(largest, abs(term))
-        running += term
-        if abs(term) < 1e-16 * max(abs(running), 1e-300):
-            small_streak += 1
-            if small_streak >= 3:
-                total = math.fsum(terms)  # compensated once the tail is negligible
-                if largest > 1e12 * max(abs(total), 1e-250):
-                    raise ArithmeticError(
-                        "Mittag-Leffler series loses all double precision to "
-                        f"cancellation at alpha={alpha}, beta={beta}, z={z}"
-                    )
-                return total
-        else:
-            small_streak = 0
-        k += 1
-        if k > 10000:
+        # 1/Gamma is 0 at a pole (lg = inf), and at z = 0 only the k=0 term survives
+        lg, sign = np.array([(math.inf, 1.0) if x <= 0.0 and x == math.floor(x)
+                             else _lgamma_signed(x) for x in g.tolist()]).T
+        l = np.log(np.abs(zs), out=np.zeros_like(zs), where=zs != 0.0)[:, None] * k - lg
+        l[zs == 0.0, 1:] = -math.inf
+        terms = sign * np.exp(np.minimum(l, 700.0))  # l > 700 raises below or lies past the stop
+        terms[:, 1::2] *= np.where(zs < 0.0, -1.0, 1.0)[:, None]
+        running = np.cumsum(terms, axis=1)  # sequential, as the series adds its terms
+        small = np.abs(terms) < 1e-16 * np.maximum(np.abs(running), 1e-300)
+        third = small[:, 2:] & small[:, 1:-1] & small[:, :-2]  # the third negligible term in a row
+        stopped = third.any(axis=1)
+        stop = np.where(stopped, third.argmax(axis=1) + 2, k.size)
+        past = k > stop[:, None]
+        over = ((l > 700.0) & ~past).any(axis=1)
+        if over.any():
+            raise OverflowError("Mittag-Leffler series term exceeds double range; "
+                                f"alpha={alpha}, beta={beta}, z={zs[over][0]}")
+        terms[past] = 0.0  # exact zeros, which leave each fsum unchanged
+        sums = [math.fsum(row) for row in terms[:, :stop[stopped].max(initial=0) + 1].tolist()]
+        lost = stopped & (np.abs(terms).max(axis=1) > 1e12 * np.maximum(np.abs(sums), 1e-250))
+        if lost.any():
+            raise ArithmeticError("Mittag-Leffler series loses all double precision to "
+                                  f"cancellation at alpha={alpha}, beta={beta}, z={zs[lost][0]}")
+        total[todo] = sums
+        todo = todo[~stopped]
+        if todo.size and k.size > 10000:
             raise RuntimeError("Mittag-Leffler series did not converge in 10000 terms")
+        count *= 4
+    return float(total[0]) if np.ndim(z) == 0 else total.reshape(np.shape(z))
 
 
 def _lgamma_signed(x: float) -> tuple[float, float]:

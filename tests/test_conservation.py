@@ -376,3 +376,38 @@ class TestBatchedJ:
                     g = lambda s: np.interp(s, taxis, phi_dt[:, col])
                 ref = j_quadrature(f, g, ALPHA, t, T, nodes=self.QNODES)
                 assert abs(row[col] - ref) <= 1e-12 * abs(ref)
+
+
+class TestTwoLineConvolution:
+    """The flux check convolves I^(1-alpha) only on the cell's two time lines
+    (test 6b's grid at K = 4000: lines 1000 and 2000, blocks 15 and 31)."""
+
+    def test_at_most_two_row_blocks(self, eqf, gf, monkeypatch):
+        import numpy as np
+
+        from liesym import fracnum
+
+        real_convolve, real_contiguous = fracnum._causal_convolve, np.ascontiguousarray
+        requested, slabs = [], []
+
+        def convolve(w, v, rows=None):
+            requested.append(rows)
+            return real_convolve(w, v, rows)
+
+        def contiguous(a, *args, **kwargs):
+            if np.ndim(a) == 2 and a.strides[0] < 0:  # a reversed Toeplitz window
+                slabs.append(a.shape)
+            return real_contiguous(a, *args, **kwargs)
+
+        monkeypatch.setattr(fracnum, "_causal_convolve", convolve)
+        monkeypatch.setattr(np, "ascontiguousarray", contiguous)
+        c = math.gamma(ALPHA + 1.0) / 2.0
+        u = GridFunction.sample(lambda t, xs: t ** (ALPHA - 1.0), T, 4000, ((0.0, 1.0, 33),),
+                                zero_at_origin=True)
+        phi = GridFunction.sample(lambda t, xs: (T - t) ** ALPHA + c * xs[0] ** 2, T, 4000,
+                                  ((0.0, 1.0, 33),))
+        cv = conserved_vector(gf["G03"], eqf, attach_diff=False)
+        divergence_numeric_fractional(cv, eqf, u, phi, (0.5, 1.0, 0.0, 1.0), ALPHA, qnodes=512,
+                                      phi_t=lambda mu, xv: -ALPHA * (T - mu) ** (ALPHA - 1.0))
+        assert requested == [[1000, 2000]]
+        assert slabs == [(64, 1024), (64, 2048)]

@@ -162,6 +162,18 @@ class TestCausalConvolve:
         assert np.all(got[0] == 0.0)
         assert np.all(np.abs(got[rows] - ref / g) <= 1e-13 * scale / g)
 
+    @pytest.mark.parametrize("K", [200, 4001])
+    @pytest.mark.parametrize("trailing", [(), (5,), (3, 2)])
+    def test_selected_rows_equal_full_product(self, K, trailing):
+        # the same block matmuls, so the same bits; rows unsorted, one repeated
+        rng = np.random.default_rng(K)
+        v = rng.standard_normal((K,) + trailing)
+        w = _gl_integral_weights(0.5, K - 1)
+        rows = [K - 1, 64, 0, 63, 64]
+        got = _causal_convolve(w, v, rows)
+        assert got.shape == (len(rows),) + trailing
+        assert np.array_equal(got, _causal_convolve(w, v)[rows])
+
 
 class TestLeftDerivative:
     def test_power_rule(self):
@@ -306,6 +318,46 @@ class TestMittagLeffler:
     def test_cancellation_guard(self):
         with pytest.raises(ArithmeticError):
             mittag_leffler(0.3, 0.5, -3.0)
+
+    @pytest.mark.parametrize("a, b", [(2.0, 1.0), (1.5, 0.5), (2.5, 2.0)])
+    def test_array_matches_scalar_calls(self, a, b):
+        z = np.linspace(-50.0, 50.0, 101)  # step 1: z = 0 is an entry
+        got = mittag_leffler(a, b, z)
+        assert got.shape == z.shape
+        ref = np.array([mittag_leffler(a, b, float(x)) for x in z])
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+        assert got[50] == gamma_reciprocal(b)
+        assert mittag_leffler(a, b, z.reshape(1, 101, 1)).shape == (1, 101, 1)
+
+    def test_scalar_in_float_out(self):
+        for z in (0.5, np.float64(0.5), np.array(0.5)):
+            assert type(mittag_leffler(0.5, 1.0, z)) is float
+
+    @pytest.mark.parametrize("a, b, bad, err", [
+        (0.5, 1.0, 75.0, ValueError),        # outside the |z| <= 50 window
+        (0.3, 0.5, -3.0, ArithmeticError),   # cancellation
+    ])
+    def test_one_bad_entry_raises_its_scalar_error(self, a, b, bad, err):
+        with pytest.raises(err) as scalar:
+            mittag_leffler(a, b, bad)
+        with pytest.raises(err) as array:
+            mittag_leffler(a, b, np.array([[0.1, 0.0], [bad, -0.2]]))
+        assert str(array.value) == str(scalar.value)
+
+    def test_nonpositive_alpha_rejects_arrays(self):
+        with pytest.raises(ValueError):
+            mittag_leffler(-0.5, 1.0, np.array([0.1, 0.5]))
+
+    def test_small_and_large_entries_mixed(self):
+        # the small entries stop within the first 64 terms, e^30 needs more
+        z = np.array([1e-8, 0.0, 30.0, -1e-3, -40.0])
+        got = mittag_leffler(1.0, 1.0, z[:3])
+        assert got.tolist() == [mittag_leffler(1.0, 1.0, float(x)) for x in z[:3]]
+        assert abs(got[2] / math.exp(30.0) - 1.0) < 1e-13
+        cosh = mittag_leffler(2.0, 1.0, z)  # E_{2,1}(z) = cosh(sqrt(z))
+        assert cosh.tolist() == [mittag_leffler(2.0, 1.0, float(x)) for x in z]
+        assert abs(cosh[2] / math.cosh(math.sqrt(30.0)) - 1.0) < 1e-13
+        assert abs(cosh[4] - math.cos(math.sqrt(40.0))) < 1e-12
 
 
 class TestResidualOnGrid:
