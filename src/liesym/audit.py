@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .catalog import HeatEquation, generators
 from .expr import Expr, equals_zero
@@ -156,6 +157,16 @@ def bracket_mismatch_keys(eq: HeatEquation) -> frozenset:
     return frozenset(r.key for r in bracket_table_audit(eq) if r.verdict != "match")
 
 
+@lru_cache(maxsize=max(map(len, CONSERVED_TABLES.values())))
+def _parsed_entry(n: int, regime: str, symmetry: str) -> dict[str, Expr]:
+    """{printed string: parsed Expr} for one printed conserved-vector entry,
+    whose other strings may use the symbol W; the cache holds one table."""
+    entry = CONSERVED_TABLES[(n, regime)][symmetry]
+    w = parse(entry.W)
+    strings = (entry.Ct, entry.Ct_local, entry.frac_arg, entry.j_f) + entry.Cx
+    return {entry.W: w} | {s: parse(s, {"W": w}) for s in strings if s}
+
+
 def conserved_vector_diff(cv, eq: HeatEquation) -> list[dict]:
     """Differences between the computed conserved vector and the printed
     component list, part by part.  Empty when the entry matches or when no
@@ -166,12 +177,11 @@ def conserved_vector_diff(cv, eq: HeatEquation) -> list[dict]:
     if not table or cv.symmetry not in table:
         return []
     entry = table[cv.symmetry]
-    symbols = {"W": parse(entry.W)}
+    parsed = _parsed_entry(eq.n, eq.regime, cv.symmetry)
     diffs: list[dict] = []
 
-    def check(part: str, printed_str: str, computed: Expr, printed: Expr | None = None):
-        printed = parse(printed_str, symbols) if printed is None else printed
-        delta = printed - computed
+    def check(part: str, printed_str: str, computed: Expr):
+        delta = parsed[printed_str] - computed
         if not delta.is_zero:
             diffs.append({
                 "part": part,
@@ -180,7 +190,7 @@ def conserved_vector_diff(cv, eq: HeatEquation) -> list[dict]:
                 "delta": str(delta),
             })
 
-    check("W", entry.W, cv.W, symbols["W"])
+    check("W", entry.W, cv.W)
     names = "xyzw"
     if eq.regime == "integer":
         check("Ct", entry.Ct, cv.Ct_local)

@@ -5,8 +5,12 @@ fixed atom alphabet: independent variables (t, x, y, z, w, x5, ...), jet
 coordinates of u (u, u_t, u_{xy}, ...), opaque function symbols (phi, F) with
 derivative subscripts generated on demand, fractional time-derivative markers
 on jets of u, and the order parameter alpha.  Every constructor returns the
-unique normal form (expanded, collected, atoms totally ordered), so structural
+unique normal form, an unordered map {monomial: nonzero coefficient} of
+expanded, collected monomials whose atoms are totally ordered, so structural
 equality is semantic equality and ``equals_zero`` is a decision procedure.
+Exact arithmetic reads the map, since rational sums do not depend on order;
+``Expr.terms`` sorts the terms once, on first read, for the readers whose
+output depends on order (printing, float sums, pivot order).
 
 Atoms are plain tuples:
 
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
 
@@ -196,9 +201,7 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
         return m2
     if not m2:
         return m1
-    powers: dict[tuple, int] = {}
-    for atom, e in m1:
-        powers[atom] = e
+    powers = dict(m1)
     for atom, e in m2:
         k = powers.get(atom, 0) + e
         if k == 0:
@@ -227,20 +230,22 @@ def _replace_power(mono: Monomial, i: int, new: tuple) -> Monomial:
 
 
 class Expr:
-    """Immutable expression in normal form."""
+    """Immutable expression in normal form; its sorted terms and its hash are
+    built on first use, as most results are only tested for zero."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_map", "_terms", "_hash")
 
-    def __init__(self, terms: tuple = ()):
-        # terms must already be normalized; use the constructors below
-        self._terms = terms
-        self._hash = None  # computed on first use: most results are never hashed
+    def __init__(self, mapping: dict):
+        # mapping must already be normalized; use the constructors below
+        self._map = mapping
+        self._terms = self._hash = None
 
     @staticmethod
     def _from_map(mapping: dict) -> "Expr":
-        items = [(m, c) for m, c in mapping.items() if c != 0]
-        items.sort(key=_term_key)
-        return Expr(tuple(items)) if items else _ZERO
+        """Normal form of a fresh map with zeros allowed; kept, not copied or sorted."""
+        if not all(mapping.values()):
+            mapping = {m: c for m, c in mapping.items() if c}
+        return Expr(mapping) if mapping else _ZERO
 
     # -- constructors -------------------------------------------------------
 
@@ -260,38 +265,35 @@ class Expr:
             q = Fraction(q)
             if q.denominator == 1:
                 q = q.numerator
-        return _ZERO if q == 0 else Expr((((), q),))
+        return _ZERO if q == 0 else Expr({(): q})
 
     @staticmethod
     def from_atom(atom: tuple) -> "Expr":
-        return Expr(((((atom, 1),), 1),))
+        return Expr({((atom, 1),): 1})
 
     # -- structure ----------------------------------------------------------
 
     @property
     def terms(self) -> tuple:
+        """The (monomial, coefficient) pairs in _term_key order."""
+        if self._terms is None:
+            self._terms = tuple(sorted(self._map.items(), key=_term_key))
         return self._terms
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._map
 
     def atoms(self) -> set:
-        out = set()
-        for mono, _ in self._terms:
-            for atom, _e in mono:
-                out.add(atom)
-        return out
+        return {atom for mono in self._map for atom, _e in mono}
 
     def as_fraction(self) -> Fraction:
-        if self.is_zero:
-            return Fraction(0)
-        if len(self._terms) == 1 and not self._terms[0][0]:
-            return Fraction(self._terms[0][1])
+        if self.is_constant():
+            return Fraction(self._map.get((), 0))
         raise ExprError(f"not a constant: {self}")
 
     def is_constant(self) -> bool:
-        return self.is_zero or (len(self._terms) == 1 and not self._terms[0][0])
+        return not self._map or (len(self._map) == 1 and () in self._map)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -303,8 +305,8 @@ class Expr:
             return other
         if other.is_zero:
             return self
-        acc = dict(self._terms)
-        for mono, c in other._terms:
+        acc = dict(self._map)
+        for mono, c in other._map.items():
             prev = acc.get(mono)
             acc[mono] = c if prev is None else prev + c
         return Expr._from_map(acc)
@@ -312,9 +314,9 @@ class Expr:
     __radd__ = __add__
 
     def __neg__(self):
-        if not self._terms:
+        if not self._map:
             return self  # keeps zero the shared _ZERO, as __mul__ and number() do
-        return Expr(tuple((m, -c) for m, c in self._terms))
+        return Expr({m: -c for m, c in self._map.items()})
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -356,11 +358,11 @@ class Expr:
         if isinstance(other, Expr):
             if other.is_zero:
                 raise ZeroDivisionError("division by zero expression")
-            if len(other._terms) != 1:
+            if len(other._map) != 1:
                 raise ExprError("division only by monomials or rationals")
-            mono, c = other._terms[0]
+            ((mono, c),) = other._map.items()
             inv = tuple((atom, -e) for atom, e in mono)
-            return self * Expr(((inv, Fraction(1) / c),))
+            return self * Expr({inv: Fraction(1) / c})
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -376,21 +378,22 @@ class Expr:
             other = Expr.number(other)
         if not isinstance(other, Expr):
             return NotImplemented
-        return self._terms == other._terms
+        return self._map == other._map
 
     def __hash__(self):
+        # int and Fraction coefficients that are equal hash alike
         if self._hash is None:
-            self._hash = hash(self._terms)
+            self._hash = hash(frozenset(self._map.items()))
         return self._hash
 
     def __bool__(self):
         return not self.is_zero
 
     def __str__(self):
-        if not self._terms:
+        if not self._map:
             return "0"
         parts: list[str] = []
-        for i, (mono, c) in enumerate(self._terms):
+        for i, (mono, c) in enumerate(self.terms):
             sign = "-" if c < 0 else "+"
             body = _render_term(mono, abs(c))
             if i == 0:
@@ -415,12 +418,12 @@ def _render_term(mono: Monomial, c: Fraction) -> str:
 
 
 def sum_of_products(pairs: Iterable[tuple[Expr, Expr]]) -> Expr:
-    """Normal form of the sum of a*b over the pairs, accumulated in one map
-    and sorted once; a pair with a zero factor forms no product."""
+    """Normal form of the sum of a*b over the pairs, accumulated in one map;
+    a pair with a zero factor forms no product."""
     acc: dict = {}
     for a, b in pairs:
-        for m1, c1 in a._terms:
-            for m2, c2 in b._terms:
+        for m1, c1 in a._map.items():
+            for m2, c2 in b._map.items():
                 mono = _mono_mul(m1, m2)
                 prev = acc.get(mono)
                 acc[mono] = c1 * c2 if prev is None else prev + c1 * c2
@@ -435,16 +438,15 @@ def _coerce(value) -> "Expr":
     return NotImplemented
 
 
-_ZERO = Expr(())
-_ONE = Expr((((), 1),))
+_ZERO = Expr({})
+_ONE = Expr({(): 1})
 
 
 # ---------------------------------------------------------------------------
 # public atom constructors
 # ---------------------------------------------------------------------------
 
-def number(q: Rat) -> Expr:
-    return Expr.number(q)
+number = Expr.number
 
 
 def var(name: str) -> Expr:
@@ -542,7 +544,7 @@ def _derive(e: Expr, d_atom: Callable[[tuple], tuple | None]) -> Expr:
     """Chain rule over the atoms of e, where d_atom(atom) is the derivative
     of one atom: the atom it becomes, () when it is 1, or None when it is 0."""
     acc: dict = {}
-    for mono, c in e.terms:
+    for mono, c in e._map.items():
         for i, (atom, k) in enumerate(mono):
             datom = d_atom(atom)
             if datom is None:
@@ -599,17 +601,8 @@ def point_derivative(e: Expr, v: str) -> Expr:
 
 def _multiset_diff(big: tuple, small: tuple) -> tuple | None:
     """big minus small as multisets of names, or None when small is not contained."""
-    counts: dict[str, int] = {}
-    for x in big:
-        counts[x] = counts.get(x, 0) + 1
-    for x in small:
-        if counts.get(x, 0) == 0:
-            return None
-        counts[x] -= 1
-    out: list[str] = []
-    for x, k in counts.items():
-        out.extend([x] * k)
-    return tuple(sorted(out, key=var_rank))
+    big, small = Counter(big), Counter(small)
+    return tuple(sorted((big - small).elements(), key=var_rank)) if small <= big else None
 
 
 def _rule_base(atom: tuple, rules: dict) -> tuple | None:
@@ -624,11 +617,8 @@ def _rule_base(atom: tuple, rules: dict) -> tuple | None:
         b_idx = base[1] if base[0] in ("j", "D") else base[2]
         if _multiset_diff(a_idx, b_idx) is not None:
             candidates.append(base)
-    if not candidates:
-        return None
     # prefer the deepest base (largest index) for a deterministic choice
-    candidates.sort(key=_atom_key)
-    return candidates[-1]
+    return max(candidates, key=_atom_key, default=None)
 
 
 class _CompiledRules:
@@ -706,7 +696,7 @@ def substitute(e: Expr, rules: Mapping) -> Expr:
     for _ in range(_MAX_JET_ORDER + 2):
         hit = False
         products = []
-        for mono, c in current.terms:
+        for mono, c in current._map.items():
             plain: list = []
             factor = _ONE
             for atom, k in mono:
@@ -720,7 +710,7 @@ def substitute(e: Expr, rules: Mapping) -> Expr:
                             f"cannot substitute into negative power of {atom_name(atom)}"
                         )
                     factor = factor * rep ** k
-            products.append((Expr(((tuple(plain), c),)), factor))
+            products.append((Expr({tuple(plain): c}), factor))
         current = sum_of_products(products)
         if not hit:
             return current

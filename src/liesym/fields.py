@@ -66,7 +66,7 @@ def _is_point_coefficient(e: Expr, allow_functions: bool) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VectorField:
     """Point-symmetry generator xi0*d_t + sum_i xi_i*d_{x_i} + eta*d_u."""
 
@@ -226,7 +226,7 @@ def _reduced_basis(basis: tuple[VectorField, ...], f_degree: int) -> tuple[int, 
     return dmax, pivots
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decomposition:
     kind: str  # "coeffs" | "outside"
     coeffs: dict[str, Expr] = field(default_factory=dict)
@@ -293,7 +293,7 @@ def decompose_in_basis(f: VectorField, basis: Sequence[VectorField]) -> Decompos
 # commutator tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableEntry:
     i: int
     j: int

@@ -22,11 +22,12 @@ from liesym.expr import (
     partial_derivative,
     point_derivative,
     substitute,
+    to_latex,
     total_derivative,
     var,
 )
 
-from .strategies import _ATOMS_1D, jet_polynomials
+from .strategies import _ATOMS_1D, _COEFFS, jet_polynomials
 
 
 class TestParse:
@@ -325,3 +326,100 @@ def test_point_derivative_chain_rule(e, divisor, v):
     # u, its jets and fractional markers are constant on (t, x, u)-space
     e = e / divisor
     assert point_derivative(e, v) == _chain_rule(e, v, jets_chain=False)
+
+
+# -- construction order ------------------------------------------------------
+# The normal form is an unordered map; only Expr.terms is sorted, so no result
+# may depend on the order in which terms were added.
+
+def _sum_in_order(terms, order=None, as_fraction=()):
+    """Sum of the terms in the given order; a term whose index is in
+    as_fraction carries Fraction coefficients (denominator 1 included)."""
+    out = Expr.zero()
+    for i in range(len(terms)) if order is None else order:
+        term = terms[i]
+        out = out + (term * Fraction(1, 3) * 3 if i in as_fraction else term)
+    return out
+
+
+@st.composite
+def _term_lists(draw):
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        term = Expr.number(draw(_COEFFS))
+        for atom in draw(st.lists(st.sampled_from(_ATOMS_1D), max_size=3)):
+            term = term * atom
+        terms.append(term)
+    return terms
+
+
+@settings(max_examples=120, deadline=None)
+@given(_term_lists(), st.data())
+def test_construction_order_is_invisible(terms, data):
+    idx = range(len(terms))
+    a = _sum_in_order(terms, data.draw(st.permutations(idx)), data.draw(st.sets(st.sampled_from(idx))))
+    b = _sum_in_order(terms, data.draw(st.permutations(idx)), data.draw(st.sets(st.sampled_from(idx))))
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a.terms == b.terms
+    assert str(a) == str(b)
+    assert to_latex(a) == to_latex(b)
+
+
+def test_eval_numeric_float_sum_ignores_construction_order():
+    # 1e16 + 1 rounds to 1e16, so the float sum depends on the term order
+    terms = [10**16 * var("t"), var("x"), -(10**16) * jet()]
+    values = {"t": np.ones(3), "x": np.array([1.0, 3.0, -5.0]), "u": np.ones(3)}
+    got = [eval_numeric(_sum_in_order(terms, order), values) for order in ([0, 1, 2], [0, 2, 1])]
+    assert np.array_equal(got[0], got[1])
+    assert np.array_equal(got[0], (1e16 + values["x"]) - 1e16)
+    scalars = {k: float(v[1]) for k, v in values.items()}
+    assert eval_numeric(_sum_in_order(terms, [2, 1, 0]), scalars) == (1e16 + 3.0) - 1e16
+
+
+def test_decomposition_ignores_construction_order():
+    from liesym import fields
+    from liesym.expr import alpha
+    from liesym.fields import VectorField, decompose_in_basis
+
+    t, x, u, a = var("t"), var("x"), jet(), alpha()
+    b1 = ([t, 2 * x, a * t * x], [x, -t * t], [u, a * u * x])
+    b2 = ([x * x, -a * t], [3 * t, u], [t * u, -a])
+    b3 = tuple(p + [a * q for q in r] for p, r in zip(b1, b2))  # b1 + alpha*b2: dependent
+    f = tuple([2 * q for q in p] + [(1 - a) * q for q in r] + s for p, r, s in zip(b1, b2, b3))
+
+    def field(name, comps, reverse):
+        c = [_sum_in_order(p, range(len(p))[::-1] if reverse else None) for p in comps]
+        return VectorField(name, 1, c[0], (c[1],), c[2])
+
+    results = []
+    for reverse in (False, True):
+        fields._reduced_basis.cache_clear()  # the cache is keyed on equal fields
+        basis = [field(name, comps, reverse) for name, comps in (("B1", b1), ("B2", b2), ("B3", b3))]
+        dec = decompose_in_basis(field("f", f, reverse), basis)
+        _, pivots = fields._reduced_basis(tuple(basis), 1)
+        results.append(({k: str(v) for k, v in dec.coeffs.items()}, list(pivots)))
+    assert results[0] == results[1]
+    assert results[0][0] == {"B1": "3", "B2": "1"}
+
+
+def test_certificates_never_sort_terms(monkeypatch):
+    from liesym import expr
+    from liesym.catalog import INTEGER, HeatEquation, generators
+    from liesym.conservation import conserved_vector, divergence_onshell_symbolic
+    from liesym.fields import VectorField
+    from liesym.prolong import determining_residual
+
+    eq = HeatEquation(5, INTEGER)
+    gens = generators(eq)
+    cvs = [conserved_vector(g, eq) for g in gens]
+    first = gens[0].field
+    bad = VectorField("perturbed", 5, first.xi0, first.xi, first.eta + parse("u^2"))
+    calls = []
+    sort_key = expr._term_key
+    monkeypatch.setattr(expr, "_term_key", lambda term: calls.append(term) or sort_key(term))
+    assert all(determining_residual(g.field, eq).is_zero for g in gens)
+    assert all(divergence_onshell_symbolic(cv, eq).is_zero for cv in cvs)
+    residual = determining_residual(bad, eq)
+    assert not residual.is_zero and calls == []
+    assert str(residual) and calls  # printing reads the sorted terms
