@@ -2,8 +2,8 @@
 structure reports, conserved vectors, verification suites, and the counting
 formulas, with text/JSON/LaTeX output.
 
-Exit codes: 0 all requested checks pass, 1 check failure, 2 usage error,
-3 I/O error.
+Exit codes: 0 all requested checks pass, 1 check failure, 2 usage error or
+out of memory, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -79,10 +79,13 @@ class RunConfig:
 
 
 def _parse_range(text: str) -> tuple[int, ...]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return (int(text),)
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return tuple(range(int(lo), int(hi) + 1))
+        return (int(text),)
+    except ValueError:
+        raise ValueError(f"--n expects N or A..B with integer bounds, got {text!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -204,6 +207,96 @@ def _cmd_brackets(cfg: RunConfig) -> tuple[str, list, bool]:
     return "\n\n".join(texts), objs, True
 
 
+def _usable_cpus() -> int:
+    import os
+
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_dimensions(fn, cfg: RunConfig) -> list:
+    """``[fn(n) for n in cfg.ns]``, with the dimensions split across the
+    usable CPUs.
+
+    The dimensions are dealt, longest first with ``count_formula(n) ** 2`` as
+    the cost, into min(#dimensions, usable CPUs) shares.  This process runs
+    the first share; each other share runs in a forked child that sends its
+    pickled results, or its exception's type, message and traceback, back
+    over a pipe and always ends through ``os._exit``.  Results come back in
+    dimension order, a child's exception is raised again here, and every
+    child is killed and reaped before this returns or raises.
+    """
+    import os
+    import pickle
+    import signal
+
+    nshares = min(len(cfg.ns), _usable_cpus()) if hasattr(os, "fork") else 1
+    if nshares <= 1:
+        return [fn(n) for n in cfg.ns]
+    shares: list[list[int]] = [[] for _ in range(nshares)]
+    loads = [0] * nshares
+    cost = {n: count_formula(n, cfg.regime) ** 2 for n in cfg.ns}
+    for n in sorted(cfg.ns, key=cost.get, reverse=True):
+        s = loads.index(min(loads))
+        shares[s].append(n)
+        loads[s] += cost[n]
+
+    results = {}
+    children = []  # (pid, read end of its pipe, its share)
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                try:
+                    os.close(r)
+                    try:
+                        data = pickle.dumps((True, [fn(n) for n in share]))
+                    except BaseException as exc:  # sent to the parent, which raises it
+                        import traceback
+
+                        data = pickle.dumps((False, (type(exc), str(exc),
+                                                     traceback.format_exc())))
+                    with open(w, "wb") as fh:
+                        fh.write(data)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, r, share))
+        for n in shares[0]:
+            results[n] = fn(n)
+        for pid, r, share in children:
+            with open(r, "rb", closefd=False) as fh:
+                data = fh.read()
+            if not data:
+                raise RuntimeError(f"worker process {pid} ended without a result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                etype, message, tb_text = value
+                # the nearest class that takes a lone message, so that numpy's
+                # _ArrayMemoryError(shape, dtype) comes back as a MemoryError
+                for cls in etype.__mro__:
+                    try:
+                        exc = cls(message)
+                        break
+                    except TypeError:
+                        continue
+                raise exc from RuntimeError(f"in a worker process:\n{tb_text}")
+            results.update(zip(share, value))
+    finally:
+        for pid, r, _ in children:
+            os.close(r)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [results[n] for n in cfg.ns]
+
+
 def _algebra_report(eq: HeatEquation) -> dict:
     gens = generators(eq)
     finite = [g.field for g in gens if g.klass != "infinite"]
@@ -229,7 +322,7 @@ def _algebra_report(eq: HeatEquation) -> dict:
 
 
 def _cmd_algebra(cfg: RunConfig) -> tuple[str, list, bool]:
-    objs = [_algebra_report(HeatEquation(n, cfg.regime)) for n in cfg.ns]
+    objs = _map_dimensions(lambda n: _algebra_report(HeatEquation(n, cfg.regime)), cfg)
     ok = all(o.get("so_match", True) and o.get("sl2_match", True) for o in objs)
     lines = []
     for o in objs:
@@ -266,103 +359,129 @@ def _cmd_conserve(cfg: RunConfig) -> tuple[str, list, bool]:
     return "\n\n".join(texts), objs, ok
 
 
-def _verify_report(cfg: RunConfig) -> dict:
+_NOISE = ("x^2", "t*x", "x^3", "u^2")  # terms added to eta in the perturbed-field checks
+
+
+def _verify_draws(cfg: RunConfig) -> dict[int, tuple[list, list]]:
+    """The seeded draws of every dimension, taken up front in the order the
+    checks once took them one dimension at a time: per dimension, ascending,
+    the perturbed (i, j, noise) triples (integer regime only), then the
+    antisymmetry pairs, as indices into the finite generators."""
     rng = random.Random(cfg.seed)
+    draws = {}
+    for n in cfg.ns:
+        finite = sum(1 for g in generators(HeatEquation(n, cfg.regime))
+                     if g.klass != "infinite")
+        perturbed = ([(*rng.sample(range(finite), 2), rng.choice(_NOISE)) for _ in range(3)]
+                     if cfg.regime == INTEGER else [])
+        draws[n] = (perturbed, [rng.sample(range(finite), 2) for _ in range(4)])
+    return draws
+
+
+def _verify_dimension(cfg: RunConfig, n: int, draws: tuple[list, list]) -> tuple[list, list]:
+    """The checks and discrepancy entries of one dimension."""
     checks = []
     discrepancies = []
 
     def add(name: str, passed: bool, details=None):
         checks.append({"name": name, "passed": bool(passed), "details": details or {}})
 
-    for n in cfg.ns:
-        eq = HeatEquation(n, cfg.regime)
-        gens = generators(eq)
-        add(f"count[n={n}]", len(gens) == count_formula(n, cfg.regime),
-            {"generators": len(gens), "formula": count_formula(n, cfg.regime)})
+    eq = HeatEquation(n, cfg.regime)
+    gens = generators(eq)
+    finite = [g.field for g in gens if g.klass != "infinite"]
+    perturbed_draws, pair_draws = draws
+    add(f"count[n={n}]", len(gens) == count_formula(n, cfg.regime),
+        {"generators": len(gens), "formula": count_formula(n, cfg.regime)})
 
-        mismatch_keys = set()
-        for r in bracket_table_audit(eq):
-            if r.verdict != "match":
-                mismatch_keys.add(r.key)
-                discrepancies.append({
-                    "dimension": n, "regime": cfg.regime, "kind": "bracket",
-                    "i": r.i, "j": r.j, "printed": r.printed,
-                    "computed": r.computed, "verdict": r.verdict,
-                })
-        if (n, cfg.regime) in ALLOWED_BRACKET_DISCREPANCIES:
-            allowed = ALLOWED_BRACKET_DISCREPANCIES[(n, cfg.regime)]
-            add(f"bracket_regression[n={n}]", mismatch_keys == set(allowed),
-                {"unexpected": sorted(map(list, mismatch_keys - set(allowed))),
-                 "missing": sorted(map(list, set(allowed) - mismatch_keys))})
+    mismatch_keys = set()
+    for r in bracket_table_audit(eq):
+        if r.verdict != "match":
+            mismatch_keys.add(r.key)
+            discrepancies.append({
+                "dimension": n, "regime": cfg.regime, "kind": "bracket",
+                "i": r.i, "j": r.j, "printed": r.printed,
+                "computed": r.computed, "verdict": r.verdict,
+            })
+    if (n, cfg.regime) in ALLOWED_BRACKET_DISCREPANCIES:
+        allowed = ALLOWED_BRACKET_DISCREPANCIES[(n, cfg.regime)]
+        add(f"bracket_regression[n={n}]", mismatch_keys == set(allowed),
+            {"unexpected": sorted(map(list, mismatch_keys - set(allowed))),
+             "missing": sorted(map(list, set(allowed) - mismatch_keys))})
 
-        divergences = []
-        for g in gens:
-            cv = conserved_vector(g, eq)
-            discrepancies.extend(
-                {"dimension": n, "regime": cfg.regime, "kind": "conserved",
-                 "symmetry": g.name, **d} for d in cv.paper_diff
-            )
-            if cfg.regime == INTEGER:
-                div = divergence_onshell_symbolic(cv, eq)
-                divergences.append({"name": g.name, "divergence_zero": div.is_zero})
-
+    divergences = []
+    for g in gens:
+        cv = conserved_vector(g, eq)
+        discrepancies.extend(
+            {"dimension": n, "regime": cfg.regime, "kind": "conserved",
+             "symmetry": g.name, **d} for d in cv.paper_diff
+        )
         if cfg.regime == INTEGER:
-            residuals = []
+            div = divergence_onshell_symbolic(cv, eq)
+            divergences.append({"name": g.name, "divergence_zero": div.is_zero})
+
+    if cfg.regime == INTEGER:
+        residuals = []
+        for g in gens:
+            res = determining_residual(g.field, eq)
+            residuals.append({"name": g.name, "residual_zero": res.is_zero,
+                              **({} if res.is_zero else {"residual": str(res)})})
+        add(f"determining_residuals[n={n}]",
+            all(r["residual_zero"] for r in residuals), {"per_generator": residuals})
+
+        perturbed_ok = True
+        for i, j, noise in perturbed_draws:
+            combo = vf_add(finite[i], finite[j])
+            bad = VectorField("perturbed", eq.n, combo.xi0, combo.xi,
+                              combo.eta + parse(noise))
+            perturbed_ok &= not determining_residual(bad, eq).is_zero
+        add(f"perturbed_fields_nonzero[n={n}]", perturbed_ok)
+        add(f"conservation_divergences[n={n}]",
+            all(d["divergence_zero"] for d in divergences), {"per_generator": divergences})
+    else:
+        from .fracnum import invariance_check
+        from .prolong import UnsupportedFlowError, exponentiate_catalog
+
+        if n <= 3:
+            sol = exact_solutions(eq, k=1.0)[2]
+            spatial = tuple((-1.5, 1.5, 25) for _ in range(n))
+            results = []
             for g in gens:
-                res = determining_residual(g.field, eq)
-                residuals.append({"name": g.name, "residual_zero": res.is_zero,
-                                  **({} if res.is_zero else {"residual": str(res)})})
-            add(f"determining_residuals[n={n}]",
-                all(r["residual_zero"] for r in residuals), {"per_generator": residuals})
-
-            perturbed_ok = True
-            base = [g.field for g in gens if g.klass != "infinite"]
-            for _ in range(3):
-                a, b = rng.sample(base, 2)
-                noise = parse(rng.choice(["x^2", "t*x", "x^3", "u^2"]))
-                combo = vf_add(a, b)
-                bad = VectorField("perturbed", eq.n, combo.xi0, combo.xi,
-                                  combo.eta + noise)
-                perturbed_ok &= not determining_residual(bad, eq).is_zero
-            add(f"perturbed_fields_nonzero[n={n}]", perturbed_ok)
-            add(f"conservation_divergences[n={n}]",
-                all(d["divergence_zero"] for d in divergences), {"per_generator": divergences})
+                if g.klass in ("infinite", "homogeneity"):
+                    continue
+                try:
+                    tr = exponentiate_catalog(g, 0.2, alpha_value=cfg.alpha)
+                except UnsupportedFlowError as exc:
+                    results.append({"name": g.name, "skipped": str(exc), "passed": False})
+                    continue
+                rep = invariance_check(eq, sol, tr, cfg.alpha, T=_VERIFY_HORIZON,
+                                       K=cfg.grid, spatial=spatial,
+                                       tcut=cfg.tcut, scheme=cfg.scheme)
+                results.append({"name": g.name, "ratio": round(rep.ratio, 3),
+                                "passed": rep.passed})
+            add(f"numeric_invariance[n={n}]",
+                bool(results) and all(r["passed"] for r in results),
+                {"per_generator": results})
         else:
-            from .fracnum import invariance_check
-            from .prolong import UnsupportedFlowError, exponentiate_catalog
+            add(f"numeric_invariance[n={n}]", False,
+                {"skipped": "numeric invariance is implemented for n <= 3 only"})
 
-            if n <= 3:
-                sol = exact_solutions(eq, k=1.0)[2]
-                spatial = tuple((-1.5, 1.5, 25) for _ in range(n))
-                results = []
-                for g in gens:
-                    if g.klass in ("infinite", "homogeneity"):
-                        continue
-                    try:
-                        tr = exponentiate_catalog(g, 0.2, alpha_value=cfg.alpha)
-                    except UnsupportedFlowError as exc:
-                        results.append({"name": g.name, "skipped": str(exc), "passed": False})
-                        continue
-                    rep = invariance_check(eq, sol, tr, cfg.alpha, T=_VERIFY_HORIZON,
-                                           K=cfg.grid, spatial=spatial,
-                                           tcut=cfg.tcut, scheme=cfg.scheme)
-                    results.append({"name": g.name, "ratio": round(rep.ratio, 3),
-                                    "passed": rep.passed})
-                add(f"numeric_invariance[n={n}]",
-                    bool(results) and all(r["passed"] for r in results),
-                    {"per_generator": results})
-            else:
-                add(f"numeric_invariance[n={n}]", False,
-                    {"skipped": "numeric invariance is implemented for n <= 3 only"})
+    pairs_ok = True
+    for i, j in pair_draws:
+        br1 = lie_bracket(finite[i], finite[j])
+        br2 = lie_bracket(finite[j], finite[i])
+        pairs_ok &= vf_add(br1, br2).is_zero()
+    add(f"antisymmetry_sample[n={n}]", pairs_ok)
+    return checks, discrepancies
 
-        finite = [g.field for g in gens if g.klass != "infinite"]
-        pairs_ok = True
-        for _ in range(4):
-            a, b = rng.sample(finite, 2)
-            br1 = lie_bracket(a, b)
-            br2 = lie_bracket(b, a)
-            pairs_ok &= vf_add(br1, br2).is_zero()
-        add(f"antisymmetry_sample[n={n}]", pairs_ok)
+
+def _verify_report(cfg: RunConfig) -> dict:
+    draws = _verify_draws(cfg)
+    checks = []
+    discrepancies = []
+    for dim_checks, dim_discrepancies in _map_dimensions(
+            lambda n: _verify_dimension(cfg, n, draws[n]), cfg):
+        checks += dim_checks
+        discrepancies += dim_discrepancies
 
     passed = sum(1 for c in checks if c["passed"])
     return {
@@ -410,7 +529,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text, payload, ok = _COMMANDS[args.command](cfg)
+    try:
+        text, payload, ok = _COMMANDS[args.command](cfg)
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
     output = _emit(cfg, text, payload)
     try:
         if cfg.out:

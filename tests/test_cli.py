@@ -1,11 +1,16 @@
 """CLI contract: subcommands, formats, exit codes, determinism."""
 
 import json
+import os
+import random
+import time
 from pathlib import Path
 
 import pytest
 
+import liesym.cli as cli
 import liesym.reference_tables as reference_tables
+from liesym.catalog import FRACTIONAL, INTEGER, HeatEquation, generators
 from liesym.cli import RunConfig, main
 
 # output of `verify --n 1..4 --format json --seed 7`, frozen before the lazy
@@ -282,10 +287,145 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("text", ["2..x", "1.5", "5..", "..3", "x"])
+    def test_malformed_dimension(self, capsys, text):
+        assert main(["verify", "--n", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --n expects N or A..B with integer bounds, "
+                                f"got {text!r}\n")
+
     def test_io_error(self, capsys):
         code = main(["count", "--n", "1", "--out", "/nonexistent-dir/x.json"])
         assert code == 3
         capsys.readouterr()
+
+
+class ShapeMemoryError(MemoryError):
+    """Like numpy's _ArrayMemoryError: a MemoryError that a lone message
+    cannot construct."""
+
+    def __init__(self, shape, dtype):
+        super().__init__(shape, dtype)
+        self.shape, self.dtype = shape, dtype
+
+    def __str__(self):
+        return f"Unable to allocate an array with shape {self.shape} and data type {self.dtype}"
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestDimensionSplit:
+    """A range's dimensions are split across forked children; nothing that
+    leaves the run may depend on the split."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        calls = []
+        real_fork = os.fork
+
+        def counting_fork():
+            calls.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return calls
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--n", "1..4", "--seed", "7"],
+        ["verify", "--n", "5..6", "--seed", "3"],
+        ["verify", "--n", "1..2", "--regime", "fractional", "--grid", "64"],
+        ["algebra", "--n", "1..4", "--regime", "integer"],
+        ["algebra", "--n", "1..4", "--regime", "fractional"],
+    ])
+    def test_split_payload_is_byte_identical_to_serial(self, capsys, monkeypatch, forks,
+                                                       argv):
+        outputs = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            forks.clear()
+            code, outputs[cpus] = run_cli([*argv, "--format", "json"], capsys)
+            assert code == 0
+            assert len(forks) == cpus - 1
+        assert outputs[1] == outputs[2]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("regime", [INTEGER, FRACTIONAL])
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_upfront_draws_equal_interleaved_draws(self, seed, regime):
+        ns = range(1, 9)
+        finite = {n: [g.field.name for g in generators(HeatEquation(n, regime))
+                      if g.klass != "infinite"] for n in ns}
+        # the draws as verify took them before the split, one dimension at a time
+        rng = random.Random(seed)
+        expected = {}
+        for n in ns:
+            perturbed = []
+            if regime == INTEGER:
+                for _ in range(3):
+                    a, b = rng.sample(finite[n], 2)
+                    perturbed.append((a, b, rng.choice(["x^2", "t*x", "x^3", "u^2"])))
+            expected[n] = (perturbed, [tuple(rng.sample(finite[n], 2)) for _ in range(4)])
+
+        draws = cli._verify_draws(RunConfig(ns=tuple(ns), regime=regime, seed=seed))
+        got = {n: ([(finite[n][i], finite[n][j], noise) for i, j, noise in perturbed],
+                   [(finite[n][i], finite[n][j]) for i, j in pairs])
+               for n, (perturbed, pairs) in draws.items()}
+        assert list(got) == list(ns)
+        assert got == expected
+
+    @pytest.mark.parametrize("share", ["parent", "child"])
+    def test_memory_error_in_a_share_exits_two(self, capsys, monkeypatch, share):
+        parent = os.getpid()
+
+        def exhausted(cfg, n, draws):
+            if (os.getpid() == parent) == (share == "parent"):
+                raise ShapeMemoryError((10 ** 11,), "float64")
+            return [], []
+
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "_verify_dimension", exhausted)
+        assert main(["verify", "--n", "1..2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: out of memory: Unable to allocate an array with "
+                                "shape (100000000000,) and data type float64\n")
+        assert_no_child_left()
+
+    def test_child_exception_is_raised_again_with_its_traceback(self, monkeypatch):
+        parent = os.getpid()
+
+        def failing(cfg, n, draws):
+            if os.getpid() != parent:
+                raise KeyError(f"no catalog for n={n}")
+            return [], []
+
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "_verify_dimension", failing)
+        with pytest.raises(KeyError) as info:
+            main(["verify", "--n", "1..2"])
+        assert "no catalog for n=1" in str(info.value)
+        assert "in failing" in str(info.value.__cause__)
+        assert_no_child_left()
+
+    def test_parent_failure_kills_running_children(self, monkeypatch):
+        parent = os.getpid()
+
+        def parent_fails(cfg, n, draws):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise RuntimeError("parent share failed")
+
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "_verify_dimension", parent_fails)
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match="parent share failed"):
+            main(["verify", "--n", "1..2"])
+        assert time.monotonic() - t0 < 30
+        assert_no_child_left()
 
 
 def test_runconfig_validation():
