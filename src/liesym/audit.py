@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .catalog import HeatEquation, generators
 from .expr import Expr, equals_zero
-from .fields import Decomposition, commutator_table
+from .fields import commutator_table
 from .parser import parse
 from .reference_tables import BRACKET_TABLES, CONSERVED_TABLES
 
@@ -108,19 +108,15 @@ def bracket_table_audit(eq: HeatEquation) -> list[BracketAuditRecord]:
     if printed_table is None:
         return []
     table = commutator_table([g.field for g in generators(eq)])
-    index = {b.name: k for k, b in enumerate(table.basis)}
-    decs = {(e.i, e.j): e.decomposition for e in table.entries}
+    names = {b.name for b in table.basis}
     records = []
     for entry in printed_table:
-        if entry.i not in index or entry.j not in index:
+        try:
+            dec = table.bracket(entry.i, entry.j)
+        except KeyError:
             records.append(BracketAuditRecord(
                 entry.i, entry.j, entry.rhs, "", "unknown-name", entry.note))
             continue
-        i, j = index[entry.i], index[entry.j]
-        # the table holds i < j; [b_j, b_i] = -[b_i, b_j] and [b_i, b_i] = 0
-        dec = decs.get((min(i, j), max(i, j)), Decomposition("coeffs"))
-        if i > j and dec.in_span:
-            dec = Decomposition("coeffs", {k: -c for k, c in dec.coeffs.items()})
         if entry.infinite:
             ok = (not dec.in_span) and dec.infinite_family
             records.append(BracketAuditRecord(
@@ -139,7 +135,7 @@ def bracket_table_audit(eq: HeatEquation) -> list[BracketAuditRecord]:
             records.append(BracketAuditRecord(
                 entry.i, entry.j, entry.rhs, _combo_str(computed), "unknown-name", entry.note))
             continue
-        if any(name not in index for name in printed):
+        if any(name not in names for name in printed):
             records.append(BracketAuditRecord(
                 entry.i, entry.j, entry.rhs, _combo_str(computed), "unknown-name", entry.note))
             continue

@@ -222,10 +222,11 @@ def _map_dimensions(fn, cfg: RunConfig) -> list:
     The dimensions are dealt, longest first with ``count_formula(n) ** 2`` as
     the cost, into min(#dimensions, usable CPUs) shares.  This process runs
     the first share; each other share runs in a forked child that sends its
-    pickled results, or its exception's type, message and traceback, back
-    over a pipe and always ends through ``os._exit``.  Results come back in
-    dimension order, a child's exception is raised again here, and every
-    child is killed and reaped before this returns or raises.
+    pickled results, or nothing, back over a pipe and always ends through
+    ``os._exit``.  A share whose pipe holds no complete result (the child
+    raised or was killed) runs again here: the shares are deterministic, so
+    an exception is raised here as itself.  Results come back in dimension
+    order, and every child is killed and reaped before this returns or raises.
     """
     import os
     import pickle
@@ -256,13 +257,7 @@ def _map_dimensions(fn, cfg: RunConfig) -> list:
             if pid == 0:
                 try:
                     os.close(r)
-                    try:
-                        data = pickle.dumps((True, [fn(n) for n in share]))
-                    except BaseException as exc:  # sent to the parent, which raises it
-                        import traceback
-
-                        data = pickle.dumps((False, (type(exc), str(exc),
-                                                     traceback.format_exc())))
+                    data = pickle.dumps([fn(n) for n in share])
                     with open(w, "wb") as fh:
                         fh.write(data)
                 finally:
@@ -274,20 +269,10 @@ def _map_dimensions(fn, cfg: RunConfig) -> list:
         for pid, r, share in children:
             with open(r, "rb", closefd=False) as fh:
                 data = fh.read()
-            if not data:
-                raise RuntimeError(f"worker process {pid} ended without a result")
-            ok, value = pickle.loads(data)
-            if not ok:
-                etype, message, tb_text = value
-                # the nearest class that takes a lone message, so that numpy's
-                # _ArrayMemoryError(shape, dtype) comes back as a MemoryError
-                for cls in etype.__mro__:
-                    try:
-                        exc = cls(message)
-                        break
-                    except TypeError:
-                        continue
-                raise exc from RuntimeError(f"in a worker process:\n{tb_text}")
+            try:
+                value = pickle.loads(data)
+            except (EOFError, pickle.UnpicklingError):
+                value = [fn(n) for n in share]
             results.update(zip(share, value))
     finally:
         for pid, r, _ in children:
@@ -300,6 +285,7 @@ def _map_dimensions(fn, cfg: RunConfig) -> list:
 def _algebra_report(eq: HeatEquation) -> dict:
     gens = generators(eq)
     finite = [g.field for g in gens if g.klass != "infinite"]
+    table = commutator_table(finite)
     closure = closure_report(finite)
     report: dict = {
         "dimension": eq.n,
@@ -309,13 +295,13 @@ def _algebra_report(eq: HeatEquation) -> dict:
     }
     if closure.closed:
         report["derived_series"] = derived_series(finite)
-    rotations = [g.field for g in gens if g.klass == "rotation"]
+    rotations = [g.name for g in gens if g.klass == "rotation"]
     if rotations:
-        report["so_match"] = match_canonical(rotations, "so").matched
+        report["so_match"] = match_canonical(table, rotations, "so").matched
     if eq.regime == INTEGER:
-        by_class = {g.klass: g.field for g in gens}
+        by_class = {g.klass: g.name for g in gens}
         sl2 = [by_class["time-translation"], by_class["dilation"], by_class["projective"]]
-        rep = match_canonical(sl2, "sl2", modulo=[by_class["homogeneity"]])
+        rep = match_canonical(table, sl2, "sl2", modulo=[by_class["homogeneity"]])
         report["sl2_match"] = rep.matched
         report["sl2_scaling"] = [str(s) for s in rep.scaling]
     return report

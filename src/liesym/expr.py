@@ -563,7 +563,7 @@ def partial_derivative(e: Expr, sym) -> Expr:
 
 
 @functools.cache
-def _atom_total_derivative(v: str, cap: int, jets_chain: bool, atom: tuple) -> tuple | None:
+def _atom_total_derivative(v: str, jets_chain: bool, atom: tuple) -> tuple | None:
     """D_v of a single atom (see _derive).  Memoised like _atom_key (an
     error is raised again on every call)."""
     kind = atom[0]
@@ -577,22 +577,21 @@ def _atom_total_derivative(v: str, cap: int, jets_chain: bool, atom: tuple) -> t
         raise ExprError("time total-derivative of a fractional marker is not defined here")
     # a jet, function-symbol or fractional atom carries its index last
     new = atom[:-1] + (_sorted_index(atom[-1] + (v,)),)
-    if len(new[-1]) > cap:
-        raise JetOrderError(f"total derivative exceeds jet-order cap {cap}: {atom_name(new)}")
+    if len(new[-1]) > _MAX_JET_ORDER:
+        raise JetOrderError(
+            f"total derivative exceeds jet-order cap {_MAX_JET_ORDER}: {atom_name(new)}")
     return new
 
 
-def total_derivative(e: Expr, v: str, max_order: int | None = None) -> Expr:
+def total_derivative(e: Expr, v: str) -> Expr:
     """Total derivative D_v: chains through jet coordinates and function symbols."""
-    cap = _MAX_JET_ORDER if max_order is None else max_order
-    return _derive(e, functools.partial(_atom_total_derivative, canonical_var(v), cap, True))
+    return _derive(e, functools.partial(_atom_total_derivative, canonical_var(v), True))
 
 
 def point_derivative(e: Expr, v: str) -> Expr:
     """Derivative on (t, x, u)-space: function symbols depend on (t, x),
     while u and its jets are unrelated coordinates."""
-    return _derive(e, functools.partial(_atom_total_derivative, canonical_var(v),
-                                        _MAX_JET_ORDER, False))
+    return _derive(e, functools.partial(_atom_total_derivative, canonical_var(v), False))
 
 
 # ---------------------------------------------------------------------------
@@ -625,8 +624,7 @@ class _CompiledRules:
     """A rule set resolved once: atom heads, the cycle check, and each
     atom's replacement (derived through total derivatives) on first use."""
 
-    def __init__(self, rules: tuple, cap: int):
-        self.cap = cap
+    def __init__(self, rules: tuple):
         self.base_rules: dict[tuple, Expr] = {}
         for key, rhs in rules:
             atom = _resolve_atom(key)
@@ -671,15 +669,15 @@ class _CompiledRules:
         b_idx = base[1] if base[0] in ("j", "D") else base[2]
         out = self.base_rules[base]
         for v in _multiset_diff(a_idx, b_idx):
-            out = total_derivative(out, v, max_order=self.cap)
+            out = total_derivative(out, v)
         self._replacements[atom] = out
         return out
 
 
 @functools.lru_cache(maxsize=32)
-def _compile_rules(rules: tuple, cap: int) -> _CompiledRules:
+def _compile_rules(rules: tuple) -> _CompiledRules:
     # a rule set that cycles raises here and is not cached
-    return _CompiledRules(rules, cap)
+    return _CompiledRules(rules)
 
 
 def substitute(e: Expr, rules: Mapping) -> Expr:
@@ -690,7 +688,7 @@ def substitute(e: Expr, rules: Mapping) -> Expr:
     Raises SubstitutionError on rule cycles or when the fixpoint is not
     reached within the jet-order bound.
     """
-    replacement = _compile_rules(tuple(rules.items()), _MAX_JET_ORDER).replacement
+    replacement = _compile_rules(tuple(rules.items())).replacement
 
     current = e
     for _ in range(_MAX_JET_ORDER + 2):

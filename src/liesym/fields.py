@@ -303,7 +303,23 @@ class TableEntry:
 @dataclass(frozen=True)
 class CommutatorTable:
     basis: tuple[VectorField, ...]
-    entries: tuple[TableEntry, ...]  # one per pair i < j
+    entries: tuple[TableEntry, ...]  # one per pair i < j, row by row
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_index", {b.name: k for k, b in enumerate(self.basis)})
+
+    def bracket(self, a: str, b: str) -> Decomposition:
+        """[a, b] for basis names a and b: the stored entry, negated when the
+        table holds the pair as (b, a); KeyError for a name outside the basis."""
+        i, j = self._index[a], self._index[b]
+        if i == j:
+            return Decomposition("coeffs")
+        lo, hi = min(i, j), max(i, j)
+        dec = self.entries[lo * (2 * len(self.basis) - lo - 1) // 2 + hi - lo - 1].decomposition
+        if i > j and dec.in_span:
+            return Decomposition("coeffs", {k: -c for k, c in dec.coeffs.items()})
+        return dec
 
     def to_json_obj(self) -> dict:
         entries = []
@@ -371,8 +387,7 @@ def commutator_table(basis: Sequence[VectorField]) -> CommutatorTable:
     """Bracket of every pair i < j of the basis, decomposed over the basis:
     the one bracket/decomposition pass that the print audit, closure report,
     derived series and canonical matching all read.  Tables are cached per
-    basis content and brackets per ordered pair of fields, so a sub-basis
-    reuses brackets too.  The cached table is shared and must not be modified."""
+    basis content; the cached table is shared and must not be modified."""
     return _commutator_table(tuple(basis))
 
 
@@ -382,15 +397,10 @@ def _commutator_table(basis: tuple[VectorField, ...]) -> CommutatorTable:
     if len(set(names)) != len(names):
         raise ValueError("basis names must be pairwise distinct")
     entries = tuple(
-        TableEntry(i, j, decompose_in_basis(_pair_bracket(basis[i], basis[j]), basis))
+        TableEntry(i, j, decompose_in_basis(lie_bracket(basis[i], basis[j]), basis))
         for i in range(len(basis)) for j in range(i + 1, len(basis))
     )
     return CommutatorTable(basis, entries)
-
-
-@lru_cache(maxsize=4096)
-def _pair_bracket(a: VectorField, b: VectorField) -> VectorField:
-    return lie_bracket(a, b)
 
 
 @dataclass(frozen=True)
@@ -462,10 +472,11 @@ def derived_series(basis: Sequence[VectorField]) -> list[int]:
     names = [b.name for b in table.basis]
     # structure constants: [b_i, b_j] = sum_l c[i, j][l] b_l
     c: dict[tuple[int, int], list[Expr]] = {}
-    for e in table.entries:
-        row = [e.decomposition.coeffs.get(name, Expr.zero()) for name in names]
-        c[e.i, e.j] = row
-        c[e.j, e.i] = [-x for x in row]
+    for i, a in enumerate(names):
+        for j, b in enumerate(names):
+            if i != j:
+                coeffs = table.bracket(a, b).coeffs
+                c[i, j] = [coeffs.get(name, Expr.zero()) for name in names]
 
     def derived(rows: list[list[Expr]]) -> list[list[Expr]]:
         out = []
@@ -562,28 +573,29 @@ _SL2_TARGET = {(0, 1): {0: Fraction(2)}, (0, 2): {1: Fraction(1)}, (1, 2): {2: F
 
 
 def match_canonical(
-    basis: Sequence[VectorField],
+    table: CommutatorTable,
+    names: Sequence[str],
     pattern: str,
-    modulo: Sequence[VectorField] = (),
+    modulo: Sequence[str] = (),
 ) -> CanonicalMatchReport:
-    """Check structure constants against a canonical pattern after an optional
-    rational rescaling of the basis elements.
+    """Check the structure constants of the basis elements `names` of
+    `table` against a canonical pattern after an optional rational rescaling.
 
     pattern "sl2" expects the ordering (translation-like e, dilation-like h,
     projective-like f); pattern "so" recognizes each element as a signed
-    rotation generator.  Bracket components along `modulo` fields (e.g. the
-    central homogeneity direction) are projected away and reported.
+    rotation generator.  Bracket components along the `modulo` elements (e.g.
+    the central homogeneity direction) are projected away and reported; a
+    component on any other element outside `names` is outside the span.
     """
-    basis = tuple(basis)
-    seed_scale = None
+    names, modulo = tuple(names), tuple(modulo)
     if pattern == "sl2":
-        if len(basis) != 3:
+        if len(names) != 3:
             return CanonicalMatchReport(False, pattern, message="sl2 requires three elements")
-        target = {k: dict(v) for k, v in _SL2_TARGET.items()}
+        target = _SL2_TARGET
     elif pattern == "so":
-        idents = [identify_rotation(b) for b in basis]
+        idents = [identify_rotation(table.basis[table._index[name]]) for name in names]
         if any(r is None for r in idents):
-            bad = [basis[k].name for k, r in enumerate(idents) if r is None]
+            bad = [names[k] for k, r in enumerate(idents) if r is None]
             return CanonicalMatchReport(
                 False, pattern, message=f"not rotation generators: {', '.join(bad)}"
             )
@@ -594,37 +606,35 @@ def match_canonical(
             k: {kk: Fraction(v) for kk, v in vv.items()}
             for k, vv in _so_constants(pairs).items()
         }
-        # the identification already names the rescaling: b_i = s_i J_{p_i q_i}
-        seed_scale = [Fraction(s) for _p, _q, s in idents]
     else:
         raise ValueError(f"unknown pattern {pattern!r}")
 
-    m = len(basis)
+    m = len(names)
+    spanned = set(names) | set(modulo)
     measured: dict[tuple[int, int], dict[int, Fraction]] = {}
     modulo_parts = []
-    for e in commutator_table(basis + tuple(modulo)).entries:
-        if e.j >= m:
-            continue
-        pair = f"[{basis[e.i].name},{basis[e.j].name}]"
-        dec = e.decomposition
-        if not dec.in_span:
-            return CanonicalMatchReport(False, pattern, message=f"{pair} outside span")
-        row: dict[int, Fraction] = {}
-        for k, b in enumerate(basis):
-            c = dec.coeffs.get(b.name)
-            if c is None:
-                continue
-            try:
-                row[k] = c.as_fraction()
-            except ExprError:
-                return CanonicalMatchReport(
-                    False, pattern, message=f"alpha-dependent constant in {pair}"
-                )
-        measured[(e.i, e.j)] = row
-        for b in modulo:
-            c = dec.coeffs.get(b.name)
-            if c is not None:
-                modulo_parts.append((basis[e.i].name, basis[e.j].name, b.name, str(c)))
+    for i in range(m):
+        for j in range(i + 1, m):
+            pair = f"[{names[i]},{names[j]}]"
+            dec = table.bracket(names[i], names[j])
+            if not dec.in_span or not spanned.issuperset(dec.coeffs):
+                return CanonicalMatchReport(False, pattern, message=f"{pair} outside span")
+            row: dict[int, Fraction] = {}
+            for k, name in enumerate(names):
+                c = dec.coeffs.get(name)
+                if c is None:
+                    continue
+                try:
+                    row[k] = c.as_fraction()
+                except ExprError:
+                    return CanonicalMatchReport(
+                        False, pattern, message=f"alpha-dependent constant in {pair}"
+                    )
+            measured[(i, j)] = row
+            for name in modulo:
+                c = dec.coeffs.get(name)
+                if c is not None:
+                    modulo_parts.append((names[i], names[j], name, str(c)))
 
     # rescaled basis b_i' = a_i b_i has canonical constants iff
     # a_i a_j m_ij^k = T_ij^k a_k for all i, j, k
@@ -638,36 +648,17 @@ def match_canonical(
         if (mv == 0) != (tv == 0):
             return CanonicalMatchReport(
                 False, pattern,
-                message=f"constant mismatch on [{basis[i].name},{basis[j].name}] -> {basis[k].name}",
+                message=f"constant mismatch on [{names[i]},{names[j]}] -> {names[k]}",
             )
 
-    live = [eq for eq in equations if eq[3] != 0]
-    if seed_scale is not None:
-        scale: list[Fraction | None] = list(seed_scale)
+    if pattern == "sl2":
+        # a_e = 1; [e,h] = 2e fixes a_h and [e,f] = h then fixes a_f
+        a_h = 2 / measured[0, 1][0]
+        scale = [Fraction(1), a_h, a_h / measured[0, 2][1]]
     else:
-        # propagate from a_0 = 1 through equations with two known slots
-        scale = [None] * m
-        scale[0] = Fraction(1)
-        progress = True
-        while progress:
-            progress = False
-            for i, j, k, mv, tv in live:
-                known = [scale[i] is not None, scale[j] is not None, scale[k] is not None]
-                if all(known):
-                    continue
-                if known[0] and known[1]:
-                    scale[k] = scale[i] * scale[j] * mv / tv
-                elif known[0] and known[2]:
-                    scale[j] = tv * scale[k] / (scale[i] * mv)
-                elif known[1] and known[2]:
-                    scale[i] = tv * scale[k] / (scale[j] * mv)
-                else:
-                    continue
-                progress = True
-        for k in range(m):
-            if scale[k] is None:
-                scale[k] = Fraction(1)
-    for i, j, k, mv, tv in live:
+        # the identification already names the rescaling: b_i = s_i J_{p_i q_i}
+        scale = [Fraction(s) for _p, _q, s in idents]
+    for i, j, k, mv, tv in equations:
         if scale[i] * scale[j] * mv != tv * scale[k]:
             return CanonicalMatchReport(
                 False, pattern, message="no rational rescaling matches the pattern"

@@ -3,15 +3,18 @@
 import json
 import os
 import random
+import signal
 import time
 from pathlib import Path
 
 import pytest
 
+import liesym.catalog as catalog
 import liesym.cli as cli
 import liesym.reference_tables as reference_tables
-from liesym.catalog import FRACTIONAL, INTEGER, HeatEquation, generators
+from liesym.catalog import FRACTIONAL, INTEGER, HeatEquation, NamedGenerator, generators
 from liesym.cli import RunConfig, main
+from liesym.fields import vf_add
 
 # output of `verify --n 1..4 --format json --seed 7`, frozen before the lazy
 # prolongation
@@ -41,6 +44,21 @@ def run_cli(args, capsys):
     return code, out
 
 
+@pytest.fixture
+def family(monkeypatch):
+    """family(change) makes the catalogs build from change(real family);
+    the catalog cache is emptied before and after."""
+    real = catalog._family
+
+    def patch(change):
+        monkeypatch.setattr(catalog, "_family", lambda n, regime: change(real(n, regime)))
+        catalog._catalog.cache_clear()
+
+    yield patch
+    monkeypatch.undo()
+    catalog._catalog.cache_clear()
+
+
 class TestCount:
     def test_range_rows(self, capsys):
         code, out = run_cli(["count", "--n", "1..4"], capsys)
@@ -53,6 +71,15 @@ class TestCount:
         payload = json.loads(out)
         assert payload["counts"]["integer"] == [7, 10]
         assert payload["lengths_agree"] is True
+
+    def test_short_catalog_fails_the_count_checks(self, capsys, family):
+        family(lambda gens: gens[:-1])
+        code, out = run_cli(["verify", "--n", "5", "--format", "json"], capsys)
+        assert code == 1
+        assert [c["name"] for c in json.loads(out)["checks"] if not c["passed"]] == ["count[n=5]"]
+        code, out = run_cli(["count", "--n", "5", "--format", "json"], capsys)
+        assert code == 1
+        assert json.loads(out)["lengths_agree"] is False
 
 
 class TestGen:
@@ -104,6 +131,21 @@ class TestAlgebra:
         payload = json.loads(out)
         assert payload[0]["so_match"] is True
         assert payload[0]["sl2_match"] is True
+
+    def test_sl2_mismatch_exits_one(self, capsys, family):
+        # P' = P + Tt spans the same algebra, but [D, P'] = 2P' - 4Tt has a Tt
+        # component where sl(2) has [h, f] = 2f alone
+        def shift_p(gens):
+            tt = next(g.field for g in gens if g.name == "Tt")
+            return [NamedGenerator(vf_add(g.field, tt, "P"), g.klass) if g.name == "P" else g
+                    for g in gens]
+
+        family(shift_p)
+        code, out = run_cli(["algebra", "--n", "5", "--format", "json"], capsys)
+        assert code == 1
+        report = json.loads(out)[0]
+        assert report["finite_part_closed"] is True and report["so_match"] is True
+        assert report["sl2_match"] is False
 
     @pytest.mark.parametrize("regime", sorted(GOLDEN_ALGEBRA))
     def test_json_n1_5_matches_golden(self, regime, capsys):
@@ -301,18 +343,6 @@ class TestUsageErrors:
         capsys.readouterr()
 
 
-class ShapeMemoryError(MemoryError):
-    """Like numpy's _ArrayMemoryError: a MemoryError that a lone message
-    cannot construct."""
-
-    def __init__(self, shape, dtype):
-        super().__init__(shape, dtype)
-        self.shape, self.dtype = shape, dtype
-
-    def __str__(self):
-        return f"Unable to allocate an array with shape {self.shape} and data type {self.dtype}"
-
-
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -377,13 +407,13 @@ class TestDimensionSplit:
         assert list(got) == list(ns)
         assert got == expected
 
+    # in --n 1..2, n = 2 costs more and is this process's share; n = 1 is the child's
     @pytest.mark.parametrize("share", ["parent", "child"])
     def test_memory_error_in_a_share_exits_two(self, capsys, monkeypatch, share):
-        parent = os.getpid()
-
         def exhausted(cfg, n, draws):
-            if (os.getpid() == parent) == (share == "parent"):
-                raise ShapeMemoryError((10 ** 11,), "float64")
+            if n == {"parent": 2, "child": 1}[share]:
+                raise MemoryError("Unable to allocate an array with shape (100000000000,) "
+                                  "and data type float64")
             return [], []
 
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
@@ -396,19 +426,38 @@ class TestDimensionSplit:
         assert_no_child_left()
 
     def test_child_exception_is_raised_again_with_its_traceback(self, monkeypatch):
-        parent = os.getpid()
-
         def failing(cfg, n, draws):
-            if os.getpid() != parent:
+            if n == 1:
                 raise KeyError(f"no catalog for n={n}")
             return [], []
 
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(cli, "_verify_dimension", failing)
-        with pytest.raises(KeyError) as info:
+        with pytest.raises(KeyError, match="no catalog for n=1") as info:
             main(["verify", "--n", "1..2"])
-        assert "no catalog for n=1" in str(info.value)
-        assert "in failing" in str(info.value.__cause__)
+        assert info.traceback[-1].name == "failing"
+        assert_no_child_left()
+
+    def test_killed_child_share_runs_again_here(self, capsys, monkeypatch, forks):
+        parent = os.getpid()
+        real = cli._verify_dimension
+
+        def killed_in_child(cfg, n, draws):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(cfg, n, draws)
+
+        argv = ["verify", "--n", "1..2", "--format", "json"]
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        code, serial = run_cli(argv, capsys)
+        assert code == 0
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "_verify_dimension", killed_in_child)
+        forks.clear()
+        code, split = run_cli(argv, capsys)
+        assert code == 0
+        assert len(forks) == 1
+        assert split == serial
         assert_no_child_left()
 
     def test_parent_failure_kills_running_children(self, monkeypatch):

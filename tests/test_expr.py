@@ -109,10 +109,6 @@ class TestDerivatives:
         with pytest.raises(JetOrderError):
             total_derivative(parse("u_{xxxx}"), "x")
 
-    def test_max_order_override(self):
-        got = total_derivative(parse("u_{xxxx}"), "x", max_order=5)
-        assert got == parse("u_{xxxxx}")
-
     def test_point_derivative_ignores_jets(self):
         assert point_derivative(parse("u_x*t"), "t") == parse("u_x")
         assert point_derivative(parse("u"), "x") == Expr.zero()
@@ -153,9 +149,9 @@ class TestSubstitute:
         calls = []
         real = kernel.total_derivative
 
-        def counting(e, v, max_order=None):
+        def counting(e, v):
             calls.append(v)
-            return real(e, v, max_order)
+            return real(e, v)
 
         monkeypatch.setattr(kernel, "total_derivative", counting)
         rhs = parse("u_{xx} + 7*u")

@@ -212,28 +212,71 @@ class TestDerivedSeries:
             derived_series([g1["G3"], g1["G5"]])
 
 
+def _finite_table(eq):
+    return commutator_table([g.field for g in generators(eq) if g.klass != "infinite"])
+
+
 class TestCanonical:
-    def test_sl2_1d(self, g1):
-        rep = match_canonical([g1["G3"], g1["G4"], g1["G5"]], "sl2", modulo=[g1["G6"]])
+    def test_sl2_1d(self):
+        table = _finite_table(HeatEquation(1, INTEGER))
+        rep = match_canonical(table, ["G3", "G4", "G5"], "sl2", modulo=["G6"])
         assert rep.matched
         assert rep.scaling == (Fraction(1), Fraction(1), Fraction(1, 4))
         assert rep.modulo_components  # the projected homogeneity component is recorded
 
-    def test_sl2_requires_modulo(self, g1):
-        rep = match_canonical([g1["G3"], g1["G4"], g1["G5"]], "sl2")
+    def test_sl2_requires_modulo(self):
+        # [G3,G5] has a G6 component, and G6 is neither matched nor projected away
+        rep = match_canonical(_finite_table(HeatEquation(1, INTEGER)), ["G3", "G4", "G5"], "sl2")
         assert not rep.matched
+        assert rep.message == "[G3,G5] outside span"
 
-    def test_so3(self, g3):
-        assert match_canonical([g3["G37"], g3["G38"], g3["G39"]], "so").matched
+    def test_so3(self):
+        table = _finite_table(HeatEquation(3, INTEGER))
+        assert match_canonical(table, ["G37", "G38", "G39"], "so").matched
 
-    def test_translations_are_not_so3(self, g3):
-        assert not match_canonical([g3["G31"], g3["G32"], g3["G33"]], "so").matched
+    def test_translations_are_not_so3(self):
+        table = _finite_table(HeatEquation(3, INTEGER))
+        rep = match_canonical(table, ["G31", "G32", "G33"], "so")
+        assert not rep.matched
+        assert rep.message == "not rotation generators: G31, G32, G33"
 
     def test_so4(self):
-        g4 = _named(HeatEquation(4, INTEGER))
-        rots = [g4[f"G5{i}"] for i in (9, 10, 11, 12, 13, 14)]
-        rep = match_canonical(rots, "so")
+        table = _finite_table(HeatEquation(4, INTEGER))
+        rep = match_canonical(table, [f"G5{i}" for i in (9, 10, 11, 12, 13, 14)], "so")
         assert rep.matched
+
+    def test_sl2_requires_three_elements(self):
+        rep = match_canonical(_finite_table(HeatEquation(1, INTEGER)), ["G3", "G4"], "sl2")
+        assert (rep.matched, rep.message) == (False, "sl2 requires three elements")
+
+    def test_duplicate_rotation_planes(self, g3):
+        table = commutator_table([g3["G37"], vf_scale(-1, g3["G37"], "J")])
+        rep = match_canonical(table, ["G37", "J"], "so")
+        assert (rep.matched, rep.message) == (False, "duplicate rotation planes")
+
+    def test_alpha_dependent_constant(self):
+        # [G01, G02] = alpha*G01
+        rep = match_canonical(_finite_table(HeatEquation(1, FRACTIONAL)),
+                              ["G01", "G02", "G03"], "sl2")
+        assert (rep.matched, rep.message) == (False, "alpha-dependent constant in [G01,G02]")
+
+    def test_constant_mismatch(self):
+        # [G1, G2] = -G6 has no e component, where sl(2) needs [e,h] = 2e
+        rep = match_canonical(_finite_table(HeatEquation(1, INTEGER)),
+                              ["G1", "G2", "G3"], "sl2", modulo=["G6"])
+        assert (rep.matched, rep.message) == (False, "constant mismatch on [G1,G2] -> G1")
+
+    def test_no_rational_rescaling(self):
+        # the zero pattern of sl(2) with [e,h] = 2e, [e,f] = h - 2Y but
+        # [h,f] = 4f - 2Z: a_h = 1 and a_f = 1 leave [h,f] off by a factor 2
+        def vf(name, xi0, xi, eta="0"):
+            return VectorField(name, 1, parse(xi0), (parse(xi),), parse(eta))
+
+        table = commutator_table([vf("E", "0", "1"), vf("Hs", "2*t", "2*x"),
+                                  vf("F", "0", "x^2", "t^2*u"), vf("Z", "0", "x^2"),
+                                  vf("Y", "t", "0")])
+        rep = match_canonical(table, ["E", "Hs", "F"], "sl2", modulo=["Z", "Y"])
+        assert (rep.matched, rep.message) == (False, "no rational rescaling matches the pattern")
 
     def test_identify_rotation(self, g3):
         assert identify_rotation(g3["G37"]) == (1, 2, 1)
@@ -272,6 +315,14 @@ class TestTable:
         # [[alpha, alpha^2], [1, alpha]] is singular over Q(alpha) although
         # its alpha-power coordinates are independent over Q
         assert fields._rank(rows) == rank
+
+    def test_bracket_reads_each_ordered_pair(self, g3):
+        table = commutator_table([g3["G37"], g3["G38"], g3["G39"]])
+        assert table.bracket("G37", "G38").coeffs == {"G39": Expr.number(-1)}
+        assert table.bracket("G38", "G37").coeffs == {"G39": Expr.one()}
+        assert table.bracket("G38", "G38").coeffs == {}
+        with pytest.raises(KeyError):
+            table.bracket("G37", "G31")
 
     def test_latex_emission(self, g1):
         table = commutator_table([g1["G3"], g1["G4"]])
