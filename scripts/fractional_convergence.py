@@ -14,7 +14,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from liesym.catalog import FRACTIONAL, HeatEquation, exact_solutions, generators
 from liesym.conservation import conserved_vector, divergence_numeric_fractional
-from liesym.fracnum import FracDerivSpec, GridFunction, residual_on_grid, rl_derivative_grid
+from liesym.fracnum import GridFunction, residual_on_grid, rl_derivative_grid
 
 ALPHA = 0.5
 T = 2.0
@@ -25,7 +25,7 @@ def kernel_study():
     for K in (500, 1000, 2000, 4000):
         g = GridFunction.sample(lambda t, xs: t ** (ALPHA - 1.0), 1.0, K,
                                 zero_at_origin=True)
-        d = rl_derivative_grid(g, FracDerivSpec(ALPHA))
+        d = rl_derivative_grid(g, ALPHA)
         m = float(np.max(np.abs(d.values[g.t_axis() >= 0.1])))
         print(f"  K={K:5d}  max|D^alpha u| = {m:.4f}")
 

@@ -30,7 +30,6 @@ from .expr import (
 )
 from .fields import VectorField
 from .fracnum import (
-    FracDerivSpec,
     GridFunction,
     GridError,
     j_quadrature,
@@ -214,9 +213,8 @@ def _atom_arrays(
             arrays[atom] = _jet_array(phi.values, atom[2], dt, dx)
         elif kind == "D":
             base = _jet_array(u.values, atom[1], dt, dx)
-            spec = FracDerivSpec(alpha)
             arrays[atom] = rl_derivative_grid(
-                GridFunction(dt, base, u.spatial_starts, u.spatial_steps), spec
+                GridFunction(dt, base, u.spatial_starts, u.spatial_steps), alpha
             ).values
         else:
             raise GridError(f"cannot evaluate atom {atom} on a grid")

@@ -1,4 +1,4 @@
-"""Grid-based fractional calculus: Grunwald-Letnikov / L1 Riemann-Liouville
+"""Grid-based fractional calculus: Grunwald-Letnikov Riemann-Liouville
 derivatives (left and right), fractional integrals, Mittag-Leffler evaluation,
 equation residuals on tensor grids, finite-transformation invariance checks,
 and product quadrature for the nonlocal double-integral functional J(f, g).
@@ -23,7 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .prolong import PointTransformation
 
 __all__ = [
-    "FracDerivSpec",
     "GridFunction",
     "GridError",
     "gl_weights",
@@ -42,21 +41,6 @@ __all__ = [
 
 class GridError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class FracDerivSpec:
-    """Order and discretization of a one-sided fractional derivative.
-    0 < alpha < 1, so the smallest covering integer order m is always 1."""
-
-    alpha: float
-    scheme: str = "gl"  # "gl" | "l1"
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise GridError(f"alpha must lie in (0, 1): {self.alpha}")
-        if self.scheme not in ("gl", "l1"):
-            raise GridError(f"unknown scheme {self.scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -134,7 +118,7 @@ class GridFunction:
 
 
 # ---------------------------------------------------------------------------
-# Grunwald-Letnikov / L1 one-sided operators
+# Grunwald-Letnikov one-sided operators
 # ---------------------------------------------------------------------------
 
 def gl_weights(alpha: float, count: int) -> np.ndarray:
@@ -182,17 +166,13 @@ def _causal_convolve(w: np.ndarray, v: np.ndarray, rows: Sequence[int] | None = 
     return out if rows is None else out[list(rows)]
 
 
-def rl_derivative_grid(u: GridFunction, spec: FracDerivSpec) -> GridFunction:
-    """Left Riemann-Liouville derivative of order alpha on the grid (GL or L1
-    scheme).  First-order accurate away from t = 0 for data that is smooth
-    plus a t^(alpha-1) kernel part; values near t = 0 are unreliable when the
-    data is singular there."""
-    a = spec.alpha
-    if spec.scheme == "gl":
-        vals = _causal_convolve(gl_weights(a, u.K), u.values)
-        vals /= u.dt ** a
-    else:
-        vals = _l1_left(u, a)
+def rl_derivative_grid(u: GridFunction, alpha: float) -> GridFunction:
+    """Left Riemann-Liouville derivative of order alpha in (0, 1) on the grid
+    (GL convolution).  First-order accurate away from t = 0 for data that is
+    smooth plus a t^(alpha-1) kernel part; values near t = 0 are unreliable
+    when the data is singular there."""
+    vals = _causal_convolve(gl_weights(alpha, u.K), u.values)
+    vals /= u.dt ** alpha
     return replace(u, values=vals)
 
 
@@ -201,32 +181,10 @@ def _time_reversed(u: GridFunction) -> GridFunction:
     return replace(u, values=u.values[::-1].copy())
 
 
-def right_rl_derivative_grid(u: GridFunction, spec: FracDerivSpec) -> GridFunction:
+def right_rl_derivative_grid(u: GridFunction, alpha: float) -> GridFunction:
     """Right Riemann-Liouville derivative (terminal T): the left derivative
     of the time-reversed grid, reversed back."""
-    return replace(u, values=rl_derivative_grid(_time_reversed(u), spec).values[::-1])
-
-
-def _l1_left(u: GridFunction, a: float) -> np.ndarray:
-    """L1 approximation of the left RL derivative: piecewise-linear Caputo sum
-    plus the u(0) t^(-alpha)/Gamma(1-alpha) boundary term."""
-    K = u.K
-    dt = u.dt
-    flat = u.values.reshape(K + 1, -1)
-    j = np.arange(K + 1)
-    b = (j[1:] ** (1.0 - a) - j[:-1] ** (1.0 - a))  # b_0..b_{K-1}
-    g = math.gamma(2.0 - a)
-    # out[k] = sum_{m<k} b_{k-1-m} (v_{m+1} - v_m): the convolution of b with
-    # the differences, shifted down one row; the differences are freed before
-    # the output grid is allocated, and the convolution before the t=0 term
-    conv = _causal_convolve(b, np.diff(flat, axis=0))
-    out = np.zeros_like(flat)
-    out[1:] = conv
-    del conv
-    out /= g * dt ** a
-    t = np.maximum(j * dt, dt)  # guard t=0; that row is unreliable anyway
-    out += flat[0] * (t ** (-a) / math.gamma(1.0 - a))[:, None]
-    return out.reshape(u.values.shape)
+    return replace(u, values=rl_derivative_grid(_time_reversed(u), alpha).values[::-1])
 
 
 def rl_integral_values(u: GridFunction, beta: float, rows: Sequence[int] | None = None) -> np.ndarray:
@@ -291,7 +249,7 @@ def mittag_leffler(alpha: float, beta: float, z: float | np.ndarray) -> float | 
         total[todo] = sums
         todo = todo[~stopped]
         if todo.size and k.size > 10000:
-            raise RuntimeError("Mittag-Leffler series did not converge in 10000 terms")
+            raise ArithmeticError("Mittag-Leffler series did not converge in 10000 terms")
         count *= 4
     return float(total[0]) if np.ndim(z) == 0 else total.reshape(np.shape(z))
 
@@ -351,9 +309,8 @@ def residual_on_grid(
     u: GridFunction,
     alpha: float,
     tcut: float | None = None,
-    scheme: str = "gl",
 ) -> ResidualReport:
-    """Pointwise D_t^alpha u - Laplacian(u) with a GL (or L1) time derivative
+    """Pointwise D_t^alpha u - Laplacian(u) with a GL time derivative
     and second-order central Laplacian, reported over interior points
     (t >= tcut, default 0.1*T, and spatial interior)."""
     if u.values.ndim - 1 != eq.n:
@@ -363,7 +320,7 @@ def residual_on_grid(
     # Laplacian first, then the time derivative, and the difference in place:
     # at most two grid-sized arrays are alive at once
     lap = _laplacian(u.values, u.spatial_steps)
-    res = rl_derivative_grid(u, FracDerivSpec(alpha, scheme=scheme)).values
+    res = rl_derivative_grid(u, alpha).values
     res -= lap
     np.abs(res, out=res)
     interior = [slice(None)] * res.ndim
@@ -403,7 +360,6 @@ def invariance_check(
     spatial: Sequence[tuple[float, float, int]] = ((-1.0, 1.0, 33),),
     tcut: float | None = None,
     refine: bool = False,
-    scheme: str = "gl",
 ) -> InvarianceReport:
     """Residual of the transformed solution versus the untransformed one.
 
@@ -432,15 +388,15 @@ def invariance_check(
             )
     pushed = transform.push_solution(solution)
     spatial = tuple(map(tuple, spatial))
-    base = _base_interior_max(eq, solution, alpha, T, K, spatial, tcut, scheme)
-    moved = _interior_max(eq, pushed, alpha, T, K, spatial, tcut, scheme)
+    base = _base_interior_max(eq, solution, alpha, T, K, spatial, tcut)
+    moved = _interior_max(eq, pushed, alpha, T, K, spatial, tcut)
     denom = base if base > 0 else 1e-300
     ratio = moved / denom
     passed = ratio <= _TOLERANCE_FACTOR
     refined = None
     decreases = None
     if refine:
-        refined = _interior_max(eq, pushed, alpha, T, 2 * K, spatial, tcut, scheme)
+        refined = _interior_max(eq, pushed, alpha, T, 2 * K, spatial, tcut)
         decreases = refined < moved
         passed = passed and decreases
     return InvarianceReport(
@@ -453,9 +409,9 @@ def invariance_check(
     )
 
 
-def _interior_max(eq, solution, alpha, T, K, spatial, tcut, scheme) -> float:
+def _interior_max(eq, solution, alpha, T, K, spatial, tcut) -> float:
     grid = GridFunction.sample(solution, T, K, spatial, alpha=alpha, zero_at_origin=True)
-    return residual_on_grid(eq, grid, alpha, tcut=tcut, scheme=scheme).interior_max
+    return residual_on_grid(eq, grid, alpha, tcut=tcut).interior_max
 
 
 # The untransformed residual is the same for every generator checked against

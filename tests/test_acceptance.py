@@ -34,7 +34,6 @@ from liesym.conservation import (
 )
 from liesym.fields import VectorField, commutator_table, lie_bracket, match_canonical, vf_add
 from liesym.fracnum import (
-    FracDerivSpec,
     GridFunction,
     gamma_reciprocal,
     invariance_check,
@@ -245,7 +244,7 @@ def test_7_fractional_calculus_kernels():
     ok = True
     # power rule u = t, alpha = 1/2, h = 1e-3 (T = 1, K = 1000)
     g = GridFunction.sample(lambda t, xs: t, 1.0, 1000)
-    d = rl_derivative_grid(g, FracDerivSpec(0.5))
+    d = rl_derivative_grid(g, 0.5)
     t = g.t_axis()
     exact = math.gamma(2.0) / math.gamma(1.5) * np.sqrt(t)
     mask = t >= 0.1
@@ -259,11 +258,11 @@ def test_7_fractional_calculus_kernels():
         gk = GridFunction.sample(lambda t, xs: t ** (alpha - 1.0), 1.0, K,
                                  zero_at_origin=True)
         lk = float(np.max(np.abs(
-            rl_derivative_grid(gk, FracDerivSpec(alpha)).values[gk.t_axis() >= 0.1])))
+            rl_derivative_grid(gk, alpha).values[gk.t_axis() >= 0.1])))
         gr = GridFunction.sample(
             lambda t, xs: np.where(t < 1.0, 1.0 - t, np.inf) ** (alpha - 1.0), 1.0, K)
         rk = float(np.max(np.abs(
-            right_rl_derivative_grid(gr, FracDerivSpec(alpha))
+            right_rl_derivative_grid(gr, alpha)
             .values[gr.t_axis() <= 0.9])))
         if left_prev is not None:
             trend_ok &= lk < left_prev and rk < right_prev

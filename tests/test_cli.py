@@ -244,6 +244,49 @@ class TestVerify:
         assert {"name": "G02", "skipped": "G02: no closed-form flow",
                 "passed": False} in check["details"]["per_generator"]
 
+    def test_small_alpha_fails_numeric_invariance_without_traceback(self, capsys):
+        # at alpha = 0.001 the Mittag-Leffler series of the sampled solution
+        # does not converge in its term budget
+        code, out = run_cli(["verify", "--n", "1", "--regime", "fractional",
+                             "--alpha", "0.001", "--format", "json"], capsys)
+        assert code == 1
+        check = next(c for c in json.loads(out)["checks"]
+                     if c["name"] == "numeric_invariance[n=1]")
+        assert check["passed"] is False
+        results = check["details"]["per_generator"]
+        assert results and all(r["passed"] is False for r in results)
+        assert all("did not converge" in r["skipped"] for r in results)
+
+    @staticmethod
+    def failed_checks(out):
+        return [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+
+    def test_flipped_catalog_sign_fails_the_symbolic_checks(self, capsys, monkeypatch):
+        from dataclasses import replace
+
+        original = cli.generators
+
+        def flipped(eq):
+            return [catalog.NamedGenerator(replace(g.field, eta=-g.field.eta), g.klass)
+                    if g.name == "B1" else g for g in original(eq)]
+
+        monkeypatch.setattr(cli, "generators", flipped)
+        code, out = run_cli(["verify", "--n", "5", "--format", "json"], capsys)
+        assert code == 1
+        assert self.failed_checks(out) == ["determining_residuals[n=5]",
+                                           "conservation_divergences[n=5]"]
+
+    def test_zero_perturbed_residual_fails_its_check(self, capsys, monkeypatch):
+        from liesym.expr import Expr
+
+        original = cli.determining_residual
+        monkeypatch.setattr(cli, "determining_residual",
+                            lambda field, eq: Expr.zero() if field.name == "perturbed"
+                            else original(field, eq))
+        code, out = run_cli(["verify", "--n", "5", "--format", "json"], capsys)
+        assert code == 1
+        assert self.failed_checks(out) == ["perturbed_fields_nonzero[n=5]"]
+
     def test_fractional_invariance_at_n3_checks_every_generator(self, capsys):
         from liesym.catalog import FRACTIONAL, HeatEquation, generators
 
@@ -273,7 +316,7 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["config"] == {
             "n": [1], "regime": "integer", "alpha": 0.5, "grid": 256,
-            "seed": 0, "scheme": "gl",
+            "seed": 0,
         }
 
 
@@ -291,6 +334,7 @@ class TestUsageErrors:
         ["count", "--regime", "integer"],
         ["brackets", "--qnodes", "8"],
         ["algebra", "--format", "latex"],
+        ["verify", "--scheme", "gl"],
     ])
     def test_flag_not_taken_by_subcommand(self, capsys, argv):
         assert main(argv) == 2
@@ -299,7 +343,7 @@ class TestUsageErrors:
         assert "usage:" in captured.err
 
     @pytest.mark.parametrize("flag", [["--alpha", "0.3"], ["--grid", "128"],
-                                      ["--scheme", "l1"], ["--tcut", "0.5"]])
+                                      ["--tcut", "0.5"]])
     def test_fractional_flag_with_integer_regime(self, capsys, flag):
         assert main(["verify", "--n", "1", "--regime", "integer", *flag]) == 2
         captured = capsys.readouterr()
