@@ -342,8 +342,9 @@ class TestUsageErrors:
         assert captured.out == ""
         assert "usage:" in captured.err
 
+    # the default alpha given explicitly is still refused: presence is checked
     @pytest.mark.parametrize("flag", [["--alpha", "0.3"], ["--grid", "128"],
-                                      ["--tcut", "0.5"]])
+                                      ["--alpha", "0.5"], ["--tcut", "0.5"]])
     def test_fractional_flag_with_integer_regime(self, capsys, flag):
         assert main(["verify", "--n", "1", "--regime", "integer", *flag]) == 2
         captured = capsys.readouterr()
