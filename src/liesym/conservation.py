@@ -18,6 +18,7 @@ import numpy as np
 
 from .catalog import HeatEquation, NamedGenerator
 from .expr import (
+    _MAX_JET_ORDER,
     Expr,
     ExprError,
     _func_laplacian,
@@ -30,10 +31,12 @@ from .expr import (
 )
 from .fields import VectorField
 from .fracnum import (
+    _BLOCK_ROWS,
     GridFunction,
     GridError,
+    _causal_convolve,
+    gl_weights,
     j_quadrature,
-    rl_derivative_grid,
     rl_integral_values,
 )
 from .prolong import characteristic_expr, onshell_rules
@@ -189,36 +192,63 @@ def _jet_array(base: np.ndarray, idx: tuple[str, ...], dt: float, dx: float) -> 
     return out
 
 
-def _atom_arrays(
-    needed: set,
+def _atom_array(
+    atom: tuple,
     u: GridFunction,
     phi: GridFunction,
     alpha: float,
-) -> dict:
-    """Numeric arrays for the atoms of the component expressions; alpha is
-    not one of them, since eval_numeric takes it as its alpha_value."""
+    kw: int,
+    drows: range,
+) -> np.ndarray:
+    """One atom of the component expressions as an array over the time rows
+    0..kw, or, for a D_t^alpha atom, over the rows drows only.  alpha is not
+    an atom here, since eval_numeric takes it as its alpha_value."""
     dt, dx = u.dt, u.spatial_steps[0]
-    taxis = u.t_axis()[:, None]
-    xaxis = u.spatial_axis(0)[None, :]
-    arrays: dict = {}
-    for atom in needed:
-        kind = atom[0]
-        if kind == "v":
-            arrays[atom] = taxis if atom[1] == "t" else xaxis
-        elif kind == "j":
-            arrays[atom] = _jet_array(u.values, atom[1], dt, dx)
-        elif kind == "f":
-            if atom[1] != "phi":
-                raise GridError("numeric flux checks do not support the infinite family symbol")
-            arrays[atom] = _jet_array(phi.values, atom[2], dt, dx)
-        elif kind == "D":
-            base = _jet_array(u.values, atom[1], dt, dx)
-            arrays[atom] = rl_derivative_grid(
-                GridFunction(dt, base, u.spatial_starts, u.spatial_steps), alpha
-            ).values
-        else:
-            raise GridError(f"cannot evaluate atom {atom} on a grid")
-    return arrays
+    kind = atom[0]
+    if kind == "v":
+        return u.t_axis()[:kw + 1, None] if atom[1] == "t" else u.spatial_axis(0)[None, :]
+    if kind == "j":
+        return _jet_array(u.values[:kw + 1], atom[1], dt, dx)
+    if kind == "f":
+        if atom[1] != "phi":
+            raise GridError("numeric flux checks do not support the infinite family symbol")
+        return _jet_array(phi.values[:kw + 1], atom[2], dt, dx)
+    if kind == "D":
+        base = _jet_array(u.values[:kw + 1], atom[1], dt, dx)
+        out = _causal_convolve(gl_weights(alpha, kw), base, drows)
+        out /= dt ** alpha
+        return out
+    raise GridError(f"cannot evaluate atom {atom} on a grid")
+
+
+def _j_on_lines(
+    f_cols: np.ndarray,
+    phi: GridFunction,
+    cols: slice,
+    phi_t: Callable | None,
+    alpha: float,
+    lines: list[int],
+    qnodes: int,
+) -> list:
+    """J(f, phi_t) on the two time lines, one quadrature per line with every
+    x-column of the cell at once; f_cols holds f on the first time rows,
+    through the later line at least (the nodes tau lie before each line)."""
+    dt, T = phi.dt, phi.T
+    taxis = phi.t_axis()
+    ffun = lambda s: _interp_columns(s, taxis[:len(f_cols)], f_cols)
+    if phi_t is not None:
+        xs = phi.spatial_axis(0)[None, cols]
+        gfun = lambda s: phi_t(s[:, None], xs)
+    else:
+        g_cols = np.gradient(phi.values[:, cols], dt, axis=0, edge_order=2)
+        gfun = lambda s: _interp_columns(s, taxis, g_cols)
+    return [j_quadrature(ffun, gfun, alpha, taxis[k], T, nodes=qnodes) for k in lines]
+
+
+def _pick(a: np.ndarray, rows, cols) -> np.ndarray:
+    """a[rows][:, cols], keeping an axis of length 1 (it broadcasts)."""
+    a = a[rows] if a.shape[0] > 1 else a
+    return a[:, cols] if a.shape[1] > 1 else a
 
 
 def divergence_numeric_fractional(
@@ -235,8 +265,10 @@ def divergence_numeric_fractional(
     [t1, t2] x [x1, x2]: evaluates the boundary integrals
     int C^t dx on the two time lines and int C^x dt on the two space lines,
     and reports their imbalance normalized by the total boundary magnitude.
-    C^t is formed on the two time lines only, and its I^(1-alpha) term
-    convolves only the Toeplitz row blocks that hold them.
+    Only what those integrals read is computed: C^t on the two time lines
+    and C^x on the two space lines, from atoms on the time rows up to a
+    little past t2; the D_t^alpha atoms and the I^(1-alpha) term convolve
+    only the Toeplitz row blocks that hold the rows they give.
 
     u and phi are (K+1) x (M+1) grids over [0, T] x [xlo, xhi]; cells touching
     t = 0 are rejected (the data there is singular by design).  phi_t may be
@@ -252,7 +284,6 @@ def divergence_numeric_fractional(
         raise GridError("cell touches t = 0; the lower terminal is singular")
     if not (t1 < t2 <= u.T + 1e-12):
         raise GridError("cell time range outside the grid")
-    T = u.T
     dt, dx = u.dt, u.spatial_steps[0]
     xaxis = u.spatial_axis(0)
     it1, it2 = int(round(t1 / dt)), int(round(t2 / dt))
@@ -262,45 +293,60 @@ def divergence_numeric_fractional(
         if abs(val - snapped) > 1e-9 * max(1.0, abs(val)):
             raise GridError(f"cell edge {label}={val} is not a grid line")
 
-    needed = cv.Ct_local.atoms() | cv.Cx[0].atoms() | {("f", "phi", ())}
-    for node in cv.Ct_nodes:
-        needed |= (node.arg if isinstance(node, FracIntTerm) else node.f).atoms()
-    arrays = _atom_arrays(needed - {("a",)}, u, phi, alpha)
+    # Atoms on the time rows 0..kw only.  Unless it is the last row, kw lies
+    # at least _MAX_JET_ORDER rows past it2, so that a t-jet at the rows
+    # <= it2 uses the same interior stencils as on the whole grid, and at or
+    # past the end of the Toeplitz block that holds it2, so that a GL product
+    # of the rows <= it2 builds the same slabs.  The local components read a
+    # D_t^alpha atom on the rows it1..it2 only.
+    kw = min(u.K, max(it2 + _MAX_JET_ORDER, it2 - it2 % _BLOCK_ROWS + _BLOCK_ROWS - 1))
+    window = range(kw + 1)
+    nonlocal_args = [n.arg if isinstance(n, FracIntTerm) else n.f for n in cv.Ct_nodes]
+    nonlocal_d = any(a[0] == "D" for e in nonlocal_args for a in e.atoms())
+    drows = window if nonlocal_d else range(it1, it2 + 1)
+    arrays: dict = {}
 
-    def on_grid(e: Expr) -> np.ndarray:
-        return np.broadcast_to(eval_numeric(e, arrays, alpha), u.values.shape)
+    def atom(a: tuple) -> np.ndarray:
+        if a not in arrays:  # computed when first read
+            arrays[a] = _atom_array(a, u, phi, alpha, kw, drows)
+        return arrays[a]
 
-    lines = [it1, it2]
-    ct_lines = on_grid(cv.Ct_local)[lines]
-    for node in cv.Ct_nodes:
-        if isinstance(node, FracIntTerm):
-            ivals = rl_integral_values(
-                GridFunction(dt, on_grid(node.arg), u.spatial_starts, u.spatial_steps),
-                1.0 - alpha, rows=lines,
-            )
-            ct_lines = ct_lines + arrays[("f", "phi", ())][lines] * ivals
-    cx_vals = on_grid(cv.Cx[0])
+    def on(e: Expr, rows: range | list, cols) -> np.ndarray:
+        """e on the time rows (a range is a view of the window) and columns"""
+        def take(a):
+            off = drows.start if a[0] == "D" else 0
+            r = (slice(rows.start - off, rows.stop - off) if isinstance(rows, range)
+                 else np.asarray(rows) - off)
+            return _pick(atom(a), r, cols)
+
+        shape = (len(rows), len(np.arange(u.values.shape[1])[cols]))
+        return np.broadcast_to(eval_numeric(e, {a: take(a) for a in e.atoms() - {("a",)}}, alpha),
+                               shape)
 
     cols = slice(ix1, ix2 + 1)
-    ct_line_lo, ct_line_hi = ct_lines[:, cols]
+    lines = [it1, it2]
+    # the nonlocal terms first, so that only the atoms they read are alive
+    # next to their Toeplitz slab and their J kernel
+    frac = [rl_integral_values(
+        GridFunction(dt, on(node.arg, window, slice(None)), u.spatial_starts, u.spatial_steps),
+        1.0 - alpha, rows=lines)[:, cols]
+        for node in cv.Ct_nodes if isinstance(node, FracIntTerm)]
     j_f = next((n.f for n in cv.Ct_nodes if isinstance(n, JTerm)), None)
-    if j_f is not None:
-        # one J quadrature per time line, every x-column of the cell at once
-        taxis = u.t_axis()
-        f_cols = on_grid(j_f)[:, cols]
-        ffun = lambda s: _interp_columns(s, taxis, f_cols)
-        if phi_t is not None:
-            gfun = lambda s: phi_t(s[:, None], xaxis[None, cols])
-        else:
-            g_cols = np.gradient(phi.values, dt, axis=0, edge_order=2)[:, cols]
-            gfun = lambda s: _interp_columns(s, taxis, g_cols)
-        ct_line_lo += j_quadrature(ffun, gfun, alpha, taxis[it1], T, nodes=qnodes)
-        ct_line_hi += j_quadrature(ffun, gfun, alpha, taxis[it2], T, nodes=qnodes)
+    j_lines = None if j_f is None else _j_on_lines(
+        on(j_f, window, cols), phi, cols, phi_t, alpha, lines, qnodes)
+    ct_lines = on(cv.Ct_local, lines, cols)
+    for ivals in frac:
+        ct_lines = ct_lines + _pick(atom(("f", "phi", ())), np.asarray(lines), cols) * ivals
+    ct_line_lo, ct_line_hi = ct_lines
+    if j_lines is not None:
+        ct_line_lo = ct_line_lo + j_lines[0]
+        ct_line_hi = ct_line_hi + j_lines[1]
+    cx_lo, cx_hi = on(cv.Cx[0], range(it1, it2 + 1), [ix1, ix2]).T
 
     int_ct_hi = float(np.trapezoid(ct_line_hi, dx=dx))
     int_ct_lo = float(np.trapezoid(ct_line_lo, dx=dx))
-    int_cx_hi = float(np.trapezoid(cx_vals[it1:it2 + 1, ix2], dx=dt))
-    int_cx_lo = float(np.trapezoid(cx_vals[it1:it2 + 1, ix1], dx=dt))
+    int_cx_hi = float(np.trapezoid(cx_hi, dx=dt))
+    int_cx_lo = float(np.trapezoid(cx_lo, dx=dt))
 
     imbalance = (int_ct_hi - int_ct_lo) + (int_cx_hi - int_cx_lo)
     mags = abs(int_ct_hi) + abs(int_ct_lo) + abs(int_cx_hi) + abs(int_cx_lo)

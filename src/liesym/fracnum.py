@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -141,29 +141,38 @@ def _gl_integral_weights(beta: float, count: int) -> np.ndarray:
 _BLOCK_ROWS = 64
 
 
-def _causal_convolve(w: np.ndarray, v: np.ndarray, rows: Sequence[int] | None = None) -> np.ndarray:
-    """(w * v)[k] = sum_{j<=k} w_j v_{k-j} along axis 0, as a blocked
-    lower-triangular Toeplitz product.
+def _toeplitz_blocks(w: np.ndarray, v: np.ndarray, starts: Iterable[int]):
+    """Row blocks of (w * v)[k] = sum_{j<=k} w_j v_{k-j} along axis 0: yields
+    (k0, rows k0..k1-1 of the product, flattened to (k1-k0, -1)) for the
+    block starting at each k0 in starts (multiples of _BLOCK_ROWS).
 
     T[k, i] = w_{k-i} for i <= k and 0 above the diagonal; each block of at
-    most _BLOCK_ROWS output rows k0..k1-1 is one BLAS matmul of the slab
-    T[k0:k1, :k1] with v[:k1].  Every output sums the same products w_j
-    v_{k-j} as the direct sum (plus exact zeros), only in another order, so
-    the per-entry error bound of a dot product holds for each entry.  A list
-    of rows computes only their blocks and returns those rows, bit-identical
-    to the same rows of the full product (the same block matmuls)."""
+    most _BLOCK_ROWS output rows is one BLAS matmul of the slab T[k0:k1, :k1]
+    with v[:k1].  Every output sums the same products w_j v_{k-j} as the
+    direct sum (plus exact zeros), only in another order, so the per-entry
+    error bound of a dot product holds for each entry; a block is the same
+    matmul, so the same bits, whichever other blocks are computed."""
     K = v.shape[0]
     flat = v.reshape(K, -1)
     # row k of T is the window starting at K-1-k of (w_{K-1}, ..., w_0, 0, ..., 0)
     padded = np.concatenate((w[K - 1::-1], np.zeros(K - 1)))
     windows = np.lib.stride_tricks.sliding_window_view(padded, K)
-    out = np.empty_like(flat)
-    for k0 in range(0, K, _BLOCK_ROWS) if rows is None else {r - r % _BLOCK_ROWS for r in rows}:
+    for k0 in starts:
         k1 = min(k0 + _BLOCK_ROWS, K)
-        slab = np.ascontiguousarray(windows[K - k1:K - k0][::-1, :k1])
-        out[k0:k1] = slab @ flat[:k1]
-    out = out.reshape(v.shape)
-    return out if rows is None else out[list(rows)]
+        # the slab, a copy, lives for this matmul only
+        yield k0, np.ascontiguousarray(windows[K - k1:K - k0][::-1, :k1]) @ flat[:k1]
+
+
+def _causal_convolve(w: np.ndarray, v: np.ndarray, rows: Sequence[int] | None = None) -> np.ndarray:
+    """(w * v)[k] = sum_{j<=k} w_j v_{k-j} along axis 0 (_toeplitz_blocks).
+    A list of rows computes only their blocks and allocates only those rows,
+    in that order, bit-identical to the same rows of the full product."""
+    rows = np.arange(v.shape[0]) if rows is None else np.asarray(rows, dtype=int)
+    out = np.empty((len(rows),) + v.shape[1:])
+    for k0, block in _toeplitz_blocks(w, v, np.unique(rows - rows % _BLOCK_ROWS).tolist()):
+        mine = (rows >= k0) & (rows < k0 + _BLOCK_ROWS)
+        out.reshape(len(rows), -1)[mine] = block[rows[mine] - k0]
+    return out
 
 
 def rl_derivative_grid(u: GridFunction, alpha: float) -> GridFunction:
@@ -317,23 +326,23 @@ def residual_on_grid(
         raise GridError(f"grid has {u.values.ndim - 1} spatial axes, equation has n={eq.n}")
     if min(u.values.shape) < 16:
         raise GridError("grid too coarse: need at least 16 points per axis")
-    # Laplacian first, then the time derivative, and the difference in place:
-    # at most two grid-sized arrays are alive at once
-    lap = _laplacian(u.values, u.spatial_steps)
-    res = rl_derivative_grid(u, alpha).values
-    res -= lap
-    np.abs(res, out=res)
-    interior = [slice(None)] * res.ndim
-    for ax in range(1, res.ndim):
-        interior[ax] = slice(1, -1)
     cut = 0.1 * u.T if tcut is None else tcut
     kmin = max(int(math.ceil(cut / u.dt)), 1)
-    inner = res[tuple(interior)]
-    return ResidualReport(
-        interior_max=float(np.max(inner[kmin:])),
-        tcut=kmin * u.dt,
-        K=u.K,
-    )
+    if kmin > u.K:
+        raise GridError(f"no time row at or after tcut = {cut} (T = {u.T})")
+    # one block of GL rows at a time, from the block that holds kmin: the
+    # Laplacian is row-local, so no grid-sized temporary is alive at once
+    interior = (slice(None),) + (slice(1, -1),) * eq.n
+    scale = u.dt ** alpha
+    peak = -math.inf
+    blocks = range(kmin - kmin % _BLOCK_ROWS, u.K + 1, _BLOCK_ROWS)
+    for k0, block in _toeplitz_blocks(gl_weights(alpha, u.K), u.values, blocks):
+        res = block.reshape((-1,) + u.values.shape[1:])
+        res /= scale
+        res -= _laplacian(u.values[k0:k0 + len(res)], u.spatial_steps)
+        np.abs(res, out=res)
+        peak = max(peak, float(np.max(res[interior][max(kmin - k0, 0):])))
+    return ResidualReport(interior_max=peak, tcut=kmin * u.dt, K=u.K)
 
 
 # the largest transformed/base residual ratio an invariance check passes
@@ -423,10 +432,58 @@ _base_interior_max = lru_cache(maxsize=8)(_interior_max)
 # the nonlocal double integral J(f, g)
 # ---------------------------------------------------------------------------
 
+def _legendre_pair(k: int, c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_k(x) and P_{k-1}(x) at x = c + d, c = 0 or 1 per entry, by the
+    three-term recurrence j P_j = (2j-1) x P_{j-1} - (j-1) P_{j-2}.
+
+    It carries e_j = P_j - c P_{j-1} instead of P_j itself (Reinsch's
+    modification where c = 1): near x = 1 the P_j are close to each other,
+    and the small d = x - 1 would be rounded off in x itself."""
+    p0, p1, e = np.ones_like(d), c + d, d
+    cm1 = c - 1.0
+    for j in range(2, k + 1):
+        e = ((j - 1) * (c * e + cm1 * p0) + (2 * j - 1) * d * p1) / j
+        p0, p1 = p1, c * p1 + e
+    return p1, p0
+
+
 @lru_cache(maxsize=16)
 def _gauss01(k: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(k)
-    s, ws = 0.5 * (x + 1.0), 0.5 * w
+    """k-point Gauss-Legendre nodes (ascending) and weights on [0, 1].
+
+    Newton's method on the Legendre recurrence (_legendre_pair) from the
+    cosine initial guesses x_i = cos(pi (i - 1/4) / (k + 1/2)), for the
+    ceil(k/2) roots x >= 0 of P_k only; the other half mirrors them.  The
+    weights on [-1, 1] are 2 / ((1 - x^2) P_k'(x)^2), with
+    (1 - x^2) P_k' = k (P_{k-1} - x P_k) (Hale & Townsend, "Fast and accurate
+    computation of Gauss-Legendre and Gauss-Jacobi quadrature nodes and
+    weights", SIAM J. Sci. Comput. 35 (2013)).  A root x > 1/2 is held as
+    1 + d, so that the nodes near 0 and 1 keep their relative accuracy.
+    O(k) memory and O(k^2) flops, against the dense k x k eigenproblem of
+    numpy's leggauss."""
+    theta = np.pi * (np.arange((k + 1) // 2) + 0.75) / (k + 0.5)
+    near1 = theta < np.pi / 3  # x > 1/2
+    c = near1.astype(float)
+    d = np.where(near1, -2.0 * np.sin(theta / 2) ** 2, np.cos(theta))
+    if k % 2:
+        d[-1] = 0.0  # the middle root of an odd k
+    # the error after a step is about the square of its size relative to
+    # 1 - x^2; the weights come from one more evaluation after the last step
+    done = False
+    for _ in range(100):
+        p, q = _legendre_pair(k, c, d)
+        one_minus_x2 = ((1.0 - c) - d) * ((1.0 + c) + d)
+        dp = k * (q - (c * p + d * p))  # (1 - x^2) P_k'(x)
+        if done:
+            break
+        step = p * one_minus_x2 / dp
+        d -= step
+        done = np.max(np.abs(step) / one_minus_x2) < 1e-8
+    ws = one_minus_x2 / dp ** 2  # half the weight on [-1, 1]
+    lower = np.where(near1, -0.5 * d, 0.5 * (1.0 - d))  # (1 - x) / 2, descending x
+    upper = np.where(near1, 1.0 + 0.5 * d, 0.5 * (1.0 + d))  # (1 + x) / 2
+    s = np.concatenate((lower, upper[:k // 2][::-1]))
+    ws = np.concatenate((ws, ws[:k // 2][::-1]))
     s.flags.writeable = ws.flags.writeable = False  # shared by every caller
     return s, ws
 
@@ -454,16 +511,23 @@ def j_quadrature(
         raise GridError(f"alpha must lie in (0, 1): {alpha}")
     if not (0.0 < t < T):
         raise GridError(f"need 0 < t < T: t={t}, T={T}")
+    if nodes < 1:
+        raise GridError(f"need at least one node: {nodes}")
     s, ws = _gauss01(nodes)
     p = 1.0 / (1.0 - alpha)
-    tau = t * (1.0 - s ** p)
-    dtau = t * p * s ** (p - 1.0)
-    mu = t + (T - t) * s ** p
-    dmu = (T - t) * p * s ** (p - 1.0)
+    sp, sq = s ** p, s ** (p - 1.0)
+    tau = t * (1.0 - sp)
+    dtau = t * p * sq
+    mu = t + (T - t) * sp
+    dmu = (T - t) * p * sq
     # node values as rows: (nodes,) for one function, (C, nodes) for C columns
     fvals = np.asarray(f(tau), dtype=float).T * (dtau * ws)
     gvals = np.asarray(g(mu), dtype=float).T * (dmu * ws)
-    kern = (mu[None, :] - tau[:, None]) ** (-alpha)
-    total = np.einsum("...i,...i->...", fvals @ kern, gvals) / math.gamma(1.0 - alpha)
+    # fvals @ kern with kern[i, j] = (mu_j - tau_i)^(-alpha), built one block
+    # of _BLOCK_ROWS columns at a time
+    fk = np.empty(fvals.shape)
+    for j0 in range(0, nodes, _BLOCK_ROWS):
+        kern = np.subtract(mu[None, j0:j0 + _BLOCK_ROWS], tau[:, None])
+        fk[..., j0:j0 + _BLOCK_ROWS] = fvals @ np.power(kern, -alpha, out=kern)
+    total = np.einsum("...i,...i->...", fk, gvals) / math.gamma(1.0 - alpha)
     return float(total) if total.ndim == 0 else total
-

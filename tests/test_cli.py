@@ -287,6 +287,47 @@ class TestVerify:
         assert code == 1
         assert self.failed_checks(out) == ["perturbed_fields_nonzero[n=5]"]
 
+    def test_corrupted_printed_bracket_fails_bracket_regression(self, capsys, monkeypatch):
+        import liesym.audit as audit
+
+        tables = dict(audit.BRACKET_TABLES)
+        first, *rest = tables[(2, "integer")]
+        assert (first.i, first.j, first.rhs) == ("G21", "G28", "2*G24")  # a matching entry
+        tables[(2, "integer")] = (reference_tables.BracketEntry("G21", "G28", "-2*G24"), *rest)
+        monkeypatch.setattr(audit, "BRACKET_TABLES", tables)
+        code, out = run_cli(["verify", "--n", "2", "--format", "json"], capsys)
+        assert code == 1
+        assert self.failed_checks(out) == ["bracket_regression[n=2]"]
+        check = next(c for c in json.loads(out)["checks"] if c["name"] == "bracket_regression[n=2]")
+        assert check["details"]["unexpected"] == [["G21", "G28", "-2*G24", "2*G24"]]
+
+    def test_dropped_characteristic_term_fails_conservation_divergences(self, capsys,
+                                                                        monkeypatch):
+        # the conserved vector of B1 built from W = -2*t*u_x - x*u without
+        # its first term; the generator itself stays intact
+        from liesym.expr import Expr
+        from liesym.fields import VectorField
+        from liesym.prolong import characteristic_expr
+
+        original = cli.conserved_vector
+
+        def dropped(g, eq, attach_diff=True):
+            if g.name != "B1":
+                return original(g, eq, attach_diff)
+            w = characteristic_expr(g.field)
+            zero = Expr.zero()
+            field = VectorField("B1", eq.n, zero, (zero,) * eq.n, Expr(dict(w.terms[1:])))
+            return original(field, eq, attach_diff)
+
+        monkeypatch.setattr(cli, "conserved_vector", dropped)
+        code, out = run_cli(["verify", "--n", "5", "--format", "json"], capsys)
+        assert code == 1
+        assert self.failed_checks(out) == ["conservation_divergences[n=5]"]
+        check = next(c for c in json.loads(out)["checks"]
+                     if c["name"] == "conservation_divergences[n=5]")
+        assert [d["name"] for d in check["details"]["per_generator"]
+                if not d["divergence_zero"]] == ["B1"]
+
     def test_fractional_invariance_at_n3_checks_every_generator(self, capsys):
         from liesym.catalog import FRACTIONAL, HeatEquation, generators
 

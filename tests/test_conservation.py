@@ -319,20 +319,27 @@ class TestBatchedJ:
                                   ((0.0, 1.0, 33),))
         return u, phi
 
-    def test_one_leggauss_call_per_qnodes(self, eqf, gf, monkeypatch):
+    def test_one_gauss_legendre_rule_per_qnodes(self, eqf, gf, monkeypatch):
+        # both lines of both runs read one cached rule; numpy's leggauss is
+        # never called
+        from functools import lru_cache
+
         import numpy as np
 
         from liesym import fracnum
 
         calls = []
-        real = np.polynomial.legendre.leggauss
+        rule = fracnum._gauss01.__wrapped__
 
         def counted(k):
             calls.append(k)
-            return real(k)
+            return rule(k)
 
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
-        fracnum._gauss01.cache_clear()
+        def leggauss(k):
+            raise AssertionError("leggauss called")
+
+        monkeypatch.setattr(fracnum, "_gauss01", lru_cache(maxsize=16)(counted))
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", leggauss)
         cv = conserved_vector(gf["G03"], eqf, attach_diff=False)
         u, phi = self._grids(lambda t, xs: t ** (ALPHA - 1.0))
         phi_t = lambda mu, xv: -ALPHA * (T - mu) ** (ALPHA - 1.0)
@@ -411,3 +418,51 @@ class TestTwoLineConvolution:
                                       phi_t=lambda mu, xv: -ALPHA * (T - mu) ** (ALPHA - 1.0))
         assert requested == [[1000, 2000]]
         assert slabs == [(64, 1024), (64, 2048)]
+
+    # the same spies and data for the components that read D_t^alpha u
+
+    @staticmethod
+    def spy(monkeypatch):
+        """(requested rows per _causal_convolve call, shapes of the slabs built)"""
+        import numpy as np
+
+        from liesym import fracnum
+
+        real_convolve, real_contiguous = fracnum._causal_convolve, np.ascontiguousarray
+        requested, slabs = [], []
+
+        def convolve(w, v, rows=None):
+            requested.append(rows)
+            return real_convolve(w, v, rows)
+
+        def contiguous(a, *args, **kwargs):
+            if np.ndim(a) == 2 and a.strides[0] < 0:  # a reversed Toeplitz window
+                slabs.append(a.shape)
+            return real_contiguous(a, *args, **kwargs)
+
+        monkeypatch.setattr(fracnum, "_causal_convolve", convolve)
+        monkeypatch.setattr(np, "ascontiguousarray", contiguous)
+        return requested, slabs
+
+    @staticmethod
+    def flux(cv, eqf):
+        c = math.gamma(ALPHA + 1.0) / 2.0
+        u = GridFunction.sample(lambda t, xs: t ** (ALPHA - 1.0), T, 4000, ((0.0, 1.0, 33),),
+                                zero_at_origin=True)
+        phi = GridFunction.sample(lambda t, xs: (T - t) ** ALPHA + c * xs[0] ** 2, T, 4000,
+                                  ((0.0, 1.0, 33),))
+        return divergence_numeric_fractional(
+            cv, eqf, u, phi, (0.5, 1.0, 0.0, 1.0), ALPHA, qnodes=512,
+            phi_t=lambda mu, xv: -ALPHA * (T - mu) ** (ALPHA - 1.0))
+
+    @pytest.mark.parametrize("name", ["G01", "G02"])
+    def test_fractional_derivative_only_on_the_cell_rows(self, eqf, gf, name, monkeypatch):
+        # C^x and C^t read D_t^alpha u on the rows 1000..2000 only: blocks
+        # 15..31, plus the two line blocks of I^(1-alpha); the whole grid
+        # is 63 blocks
+        cv = conserved_vector(gf[name], eqf, attach_diff=False)
+        assert ("D", ()) in cv.Cx[0].atoms()
+        _, slabs = self.spy(monkeypatch)
+        self.flux(cv, eqf)
+        assert sorted(slabs) == sorted([(64, 64 * (b + 1)) for b in range(15, 32)]
+                                       + [(64, 1024), (64, 2048)])

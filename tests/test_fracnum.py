@@ -2,6 +2,7 @@
 functional, residual reports, invariance checks, and grid I/O."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from liesym.fracnum import (
     GridFunction,
     GridError,
     _causal_convolve,
+    _gauss01,
     _gl_integral_weights,
+    _laplacian,
     gamma_reciprocal,
     gl_weights,
     invariance_check,
@@ -380,6 +383,127 @@ class TestResidualOnGrid:
         assert peak <= 3 * vals.nbytes
 
 
+def _full_grid_residual(eq, u, alpha, tcut=None):
+    """The whole-grid formula that the block-streamed residual replaced: the
+    GL derivative of every row and the Laplacian of the whole grid, as two
+    grid-sized arrays."""
+    lap = _laplacian(u.values, u.spatial_steps)
+    res = rl_derivative_grid(u, alpha).values
+    res -= lap
+    np.abs(res, out=res)
+    interior = (slice(None),) + (slice(1, -1),) * eq.n
+    cut = 0.1 * u.T if tcut is None else tcut
+    kmin = max(int(math.ceil(cut / u.dt)), 1)
+    return float(np.max(res[interior][kmin:])), kmin * u.dt
+
+
+class TestStreamingResidual:
+    """residual_on_grid works through the grid one Toeplitz row block at a
+    time; its interior maximum equals the whole-grid formula bit for bit.
+    dt = 1/128 makes every tcut below an exact multiple of dt."""
+
+    DT = 1.0 / 128
+    SPATIAL = {1: (17,), 2: (17, 16), 3: (16, 17, 16)}
+
+    def _grid(self, n, K, seed):
+        vals = np.random.default_rng(seed).standard_normal((K + 1,) + self.SPATIAL[n])
+        return GridFunction(self.DT, vals, (0.0,) * n, (1.0 / 16,) * n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("K", [128, 149, 200])  # 129, 150 and 201 rows
+    @pytest.mark.parametrize("krow", [None, 1, 63, 64, 70, 127, 128])
+    def test_equals_full_grid_formula(self, n, K, krow):
+        # krow: the first row at or after tcut (None: the 0.1 T default);
+        # 70 and 127 lie inside a block, 64 and 128 on a block boundary
+        eq = HeatEquation(n, FRACTIONAL)
+        u = self._grid(n, K, seed=100 * n + K)
+        tcut = None if krow is None else krow * self.DT
+        rep = residual_on_grid(eq, u, 0.4, tcut=tcut)
+        assert (rep.interior_max, rep.tcut) == _full_grid_residual(eq, u, 0.4, tcut)
+        assert rep.K == K
+
+    @pytest.mark.parametrize("K", [128, 149])
+    def test_no_row_after_tcut_raises(self, K):
+        eq = HeatEquation(1, FRACTIONAL)
+        u = self._grid(1, K, seed=K)
+        assert residual_on_grid(eq, u, 0.4, tcut=K * self.DT).interior_max > 0.0
+        with pytest.raises(GridError):
+            residual_on_grid(eq, u, 0.4, tcut=(K + 0.5) * self.DT)
+
+    def test_temporaries_are_one_slab_and_a_few_blocks(self):
+        # 1025 rows are 17 blocks; the whole-grid formula held two grids
+        import tracemalloc
+
+        eq = HeatEquation(2, FRACTIONAL)
+        u = self._grid(2, 1024, seed=5)
+        slab = 64 * u.values.shape[0] * 8     # T[k0:k1, :k1] of the last block
+        block = u.values[:64].nbytes
+        tracemalloc.start()
+        try:
+            residual_on_grid(eq, u, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= slab + 4 * block < u.values.nbytes / 2
+
+
+@lru_cache(maxsize=None)
+def _mp_gauss01(k):
+    """The nodes of _gauss01(k) in [1/2, 1] refined by Newton's method on
+    mpmath's Legendre functions at 40 digits, mirrored for the rest: (s, w)
+    on [0, 1] as mpf lists, in the order of _gauss01's nodes."""
+    import mpmath
+
+    upper = []
+    with mpmath.workdps(40):
+        for s in _gauss01(k)[0][k // 2:].tolist():
+            x = 2 * mpmath.mpf(s) - 1
+            for _ in range(2):
+                p, q = mpmath.legendre(k, x), mpmath.legendre(k - 1, x)
+                w = (1 - x) * (1 + x) / (k * (q - x * p)) ** 2
+                x -= p * (1 - x) * (1 + x) / (k * (q - x * p))
+            upper.append(((1 + x) / 2, w))
+    lower = [(1 - s, w) for s, w in reversed(upper[k % 2:])]
+    return [s for s, _ in lower + upper], [w for _, w in lower + upper]
+
+
+def _rel_errors(got, ref):
+    return [abs(float((g - r) / r)) for g, r in zip(got, ref)]
+
+
+class TestGaussLegendre:
+    """_gauss01 (Newton's method on the Legendre recurrence) against 40-digit
+    mpmath nodes and weights."""
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 65, 64, 128, 256, 512])
+    def test_against_mpmath(self, k):
+        import mpmath
+
+        s, ws = _gauss01(k)
+        assert s.shape == ws.shape == (k,)
+        ref_s, ref_w = _mp_gauss01(k)
+        ulps = [abs(float((mpmath.mpf(a) - r) / np.spacing(float(r)))) for a, r in zip(s, ref_s)]
+        assert max(ulps) <= 4.0
+        assert max(_rel_errors([mpmath.mpf(w) for w in ws], ref_w)) <= 1e-12
+        assert abs(float(ws.sum()) - 1.0) <= 1e-14
+
+    def test_leggauss_weights_fail_the_bound(self):
+        # the control: numpy's eigenvalue-based rule at k = 512
+        import mpmath
+
+        x, w = np.polynomial.legendre.leggauss(512)
+        assert np.all(np.abs(0.5 * (x + 1.0) - _gauss01(512)[0]) < 1e-13)
+        errors = _rel_errors([mpmath.mpf(v) for v in 0.5 * w], _mp_gauss01(512)[1])
+        assert max(errors) > 1e-12
+
+    def test_odd_k_has_the_midpoint(self):
+        assert _gauss01(65)[0][32] == 0.5 and _gauss01(1)[0].tolist() == [0.5]
+
+    def test_arrays_are_read_only(self):
+        s, ws = _gauss01(64)
+        assert not s.flags.writeable and not ws.flags.writeable
+
+
 class TestJQuadrature:
     def test_zero_second_argument(self):
         assert j_quadrature(lambda t: 1.0, lambda t: 0.0, 0.5, 1.0, 2.0) == 0.0
@@ -422,6 +546,24 @@ class TestJQuadrature:
             j_quadrature(lambda t: 1.0, lambda t: 1.0, 0.5, 2.5, 2.0)
         with pytest.raises(GridError):
             j_quadrature(lambda t: 1.0, lambda t: 1.0, 1.5, 1.0, 2.0)
+        with pytest.raises(GridError):
+            j_quadrature(lambda t: 1.0, lambda t: 1.0, 0.5, 1.0, 2.0, nodes=0)
+
+    @pytest.mark.parametrize("nodes", [64, 100, 130])
+    def test_column_blocks_equal_dense_kernel(self, nodes):
+        # the kernel built in blocks of 64 columns against the whole k x k kernel
+        alpha, t, T = 0.4, 0.7, 2.0
+        f = lambda x: np.stack([np.cos(x), 1.0 + x], axis=1)
+        g = lambda x: np.exp(-x)
+        s, ws = _gauss01(nodes)
+        p = 1.0 / (1.0 - alpha)
+        tau, mu = t * (1.0 - s ** p), t + (T - t) * s ** p
+        fv = f(tau).T * (t * p * s ** (p - 1.0) * ws)
+        gv = g(mu) * ((T - t) * p * s ** (p - 1.0) * ws)
+        dense = (fv @ (mu[None, :] - tau[:, None]) ** (-alpha)) @ gv / math.gamma(1.0 - alpha)
+        got = j_quadrature(f, g, alpha, t, T, nodes=nodes)
+        assert got.shape == (2,)
+        np.testing.assert_allclose(got, dense, rtol=1e-14, atol=0.0)
 
 
 def _pointwise(func, grid, alpha):
