@@ -166,9 +166,8 @@ def _parsed_entry(n: int, regime: str, symmetry: str) -> dict[str, Expr]:
 def conserved_vector_diff(cv, eq: HeatEquation) -> list[dict]:
     """Differences between the computed conserved vector and the printed
     component list, part by part.  Empty when the entry matches or when no
-    printed entry exists."""
-    from .conservation import FracIntTerm, JTerm
-
+    printed entry exists.  Both nonlocal terms of a fractional C^t take W as
+    their argument."""
     table = CONSERVED_TABLES.get((eq.n, eq.regime))
     if not table or cv.symmetry not in table:
         return []
@@ -192,10 +191,8 @@ def conserved_vector_diff(cv, eq: HeatEquation) -> list[dict]:
         check("Ct", entry.Ct, cv.Ct_local)
     else:
         check("Ct_local", entry.Ct_local, cv.Ct_local)
-        frac = next(n for n in cv.Ct_nodes if isinstance(n, FracIntTerm))
-        jn = next(n for n in cv.Ct_nodes if isinstance(n, JTerm))
-        check("frac_int_arg", entry.frac_arg, frac.arg)
-        check("J_first_arg", entry.j_f, jn.f)
+        check("frac_int_arg", entry.frac_arg, cv.W)
+        check("J_first_arg", entry.j_f, cv.W)
     for i, printed_cx in enumerate(entry.Cx):
         check(f"C{names[i]}", printed_cx, cv.Cx[i])
     if entry.printed_label and entry.printed_label != cv.symmetry:

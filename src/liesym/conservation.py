@@ -16,7 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .catalog import HeatEquation, NamedGenerator
+from .audit import conserved_vector_diff
+from .catalog import FRACTIONAL, HeatEquation, NamedGenerator
 from .expr import (
     _MAX_JET_ORDER,
     Expr,
@@ -27,9 +28,10 @@ from .expr import (
     func_sym,
     spatial_name,
     substitute,
+    to_latex,
     total_derivative,
 )
-from .fields import VectorField
+from .fields import VectorField, _gamma_latex
 from .fracnum import (
     _BLOCK_ROWS,
     GridFunction,
@@ -43,8 +45,6 @@ from .prolong import characteristic_expr, onshell_rules
 
 __all__ = [
     "NonlocalError",
-    "FracIntTerm",
-    "JTerm",
     "ConservedVector",
     "conserved_vector",
     "divergence_onshell_symbolic",
@@ -66,35 +66,19 @@ def _lagrangian(eq: HeatEquation) -> Expr:
 
 
 @dataclass(frozen=True)
-class FracIntTerm:
-    """Nonlocal time-component term phi * I^(1-alpha)[arg] (left fractional
-    integral from 0, the order-(alpha-1) derivative)."""
-
-    arg: Expr
-
-    def __str__(self):
-        return f"phi*I^(1-alpha)[{self.arg}]"
-
-
-@dataclass(frozen=True)
-class JTerm:
-    """Nonlocal time-component term J(f, phi_t): the double integral pairing
-    past values of f with future values of phi_t."""
-
-    f: Expr
-
-    def __str__(self):
-        return f"J({self.f}, phi_t)"
-
-
-@dataclass(frozen=True)
 class ConservedVector:
+    """Components of a conserved vector.  Ct_local is the local part of C^t;
+    in the fractional regime the whole time component is
+
+        C^t = Ct_local + phi I^(1-alpha)[W] + J(W, phi_t),
+
+    so W fixes its nonlocal part."""
+
     symmetry: str
     n: int
     regime: str
     W: Expr
     Ct_local: Expr
-    Ct_nodes: tuple
     Cx: tuple[Expr, ...]
     paper_diff: tuple = ()
 
@@ -124,16 +108,9 @@ def conserved_vector(
     for i in range(eq.n):
         name = spatial_name(i + 1)
         cx.append(vf.xi[i] * L + w * func_sym("phi", (name,)) - phi * total_derivative(w, name))
-    if eq.is_fractional:
-        ct_local = vf.xi0 * L
-        nodes = (FracIntTerm(w), JTerm(w))
-    else:
-        ct_local = vf.xi0 * L + w * phi
-        nodes = ()
-    cv = ConservedVector(vf.name, eq.n, eq.regime, w, ct_local, nodes, tuple(cx))
+    ct_local = vf.xi0 * L if eq.is_fractional else vf.xi0 * L + w * phi
+    cv = ConservedVector(vf.name, eq.n, eq.regime, w, ct_local, tuple(cx))
     if attach_diff and eq.n <= 4:
-        from .audit import conserved_vector_diff
-
         cv = replace(cv, paper_diff=tuple(conserved_vector_diff(cv, eq)))
     return cv
 
@@ -155,7 +132,7 @@ def onshell_conservation_rules(eq: HeatEquation) -> dict[str, Expr]:
 def divergence_onshell_symbolic(cv: ConservedVector, eq: HeatEquation) -> Expr:
     """D_t C^t + sum_i D_{x_i} C^{x_i}, reduced on the solution shell and the
     adjoint shell; identically zero certifies the conservation law."""
-    if cv.Ct_nodes or eq.is_fractional:
+    if cv.regime == FRACTIONAL or eq.is_fractional:
         raise NonlocalError("symbolic divergence covers local (integer) vectors only")
     div = total_derivative(cv.Ct_local, "t")
     for i in range(eq.n):
@@ -221,30 +198,6 @@ def _atom_array(
     raise GridError(f"cannot evaluate atom {atom} on a grid")
 
 
-def _j_on_lines(
-    f_cols: np.ndarray,
-    phi: GridFunction,
-    cols: slice,
-    phi_t: Callable | None,
-    alpha: float,
-    lines: list[int],
-    qnodes: int,
-) -> list:
-    """J(f, phi_t) on the two time lines, one quadrature per line with every
-    x-column of the cell at once; f_cols holds f on the first time rows,
-    through the later line at least (the nodes tau lie before each line)."""
-    dt, T = phi.dt, phi.T
-    taxis = phi.t_axis()
-    ffun = lambda s: _interp_columns(s, taxis[:len(f_cols)], f_cols)
-    if phi_t is not None:
-        xs = phi.spatial_axis(0)[None, cols]
-        gfun = lambda s: phi_t(s[:, None], xs)
-    else:
-        g_cols = np.gradient(phi.values[:, cols], dt, axis=0, edge_order=2)
-        gfun = lambda s: _interp_columns(s, taxis, g_cols)
-    return [j_quadrature(ffun, gfun, alpha, taxis[k], T, nodes=qnodes) for k in lines]
-
-
 def _pick(a: np.ndarray, rows, cols) -> np.ndarray:
     """a[rows][:, cols], keeping an axis of length 1 (it broadcasts)."""
     a = a[rows] if a.shape[0] > 1 else a
@@ -259,7 +212,8 @@ def divergence_numeric_fractional(
     cell: tuple[float, float, float, float],
     alpha: float,
     qnodes: int = 64,
-    phi_t: Callable | None = None,
+    *,
+    phi_t: Callable,
 ) -> FluxReport:
     """Flux balance of the conserved vector over the cell
     [t1, t2] x [x1, x2]: evaluates the boundary integrals
@@ -267,16 +221,19 @@ def divergence_numeric_fractional(
     and reports their imbalance normalized by the total boundary magnitude.
     Only what those integrals read is computed: C^t on the two time lines
     and C^x on the two space lines, from atoms on the time rows up to a
-    little past t2; the D_t^alpha atoms and the I^(1-alpha) term convolve
-    only the Toeplitz row blocks that hold the rows they give.
+    little past t2.  W is evaluated once on those rows; I^(1-alpha)[W]
+    convolves only the Toeplitz row blocks of the two lines, and the
+    D_t^alpha atoms only those of the rows t1..t2.
 
     u and phi are (K+1) x (M+1) grids over [0, T] x [xlo, xhi]; cells touching
-    t = 0 are rejected (the data there is singular by design).  phi_t may be
-    supplied as a callable (mu, x) for the J quadrature, called on arrays (mu
-    shaped (nodes, 1), x the cell's columns shaped (1, C)); otherwise it is
-    taken from the phi grid by central differences."""
-    if eq.n != 1 or not eq.is_fractional:
+    t = 0 are rejected (the data there is singular by design).  phi_t is the
+    multiplier's time derivative for the J quadrature, a callable (mu, x)
+    called on arrays: mu shaped (nodes, 1), x the cell's columns shaped
+    (1, C)."""
+    if eq.n != 1 or not eq.is_fractional or cv.regime != FRACTIONAL:
         raise GridError("flux verification covers the 1D fractional case")
+    if any(a[0] == "D" for a in cv.W.atoms()):
+        raise GridError("flux verification needs a W free of D_t^alpha atoms")
     if u.values.shape != phi.values.shape or u.values.ndim != 2:
         raise GridError("u and phi must share one (t, x) grid")
     t1, t2, x1, x2 = cell
@@ -297,13 +254,10 @@ def divergence_numeric_fractional(
     # at least _MAX_JET_ORDER rows past it2, so that a t-jet at the rows
     # <= it2 uses the same interior stencils as on the whole grid, and at or
     # past the end of the Toeplitz block that holds it2, so that a GL product
-    # of the rows <= it2 builds the same slabs.  The local components read a
-    # D_t^alpha atom on the rows it1..it2 only.
+    # of the rows <= it2 builds the same slabs.  A D_t^alpha atom holds the
+    # rows it1..it2 only.
     kw = min(u.K, max(it2 + _MAX_JET_ORDER, it2 - it2 % _BLOCK_ROWS + _BLOCK_ROWS - 1))
-    window = range(kw + 1)
-    nonlocal_args = [n.arg if isinstance(n, FracIntTerm) else n.f for n in cv.Ct_nodes]
-    nonlocal_d = any(a[0] == "D" for e in nonlocal_args for a in e.atoms())
-    drows = window if nonlocal_d else range(it1, it2 + 1)
+    drows = range(it1, it2 + 1)
     arrays: dict = {}
 
     def atom(a: tuple) -> np.ndarray:
@@ -312,9 +266,9 @@ def divergence_numeric_fractional(
         return arrays[a]
 
     def on(e: Expr, rows: range | list, cols) -> np.ndarray:
-        """e on the time rows (a range is a view of the window) and columns"""
+        """e on the time rows (a range is a view of the rows 0..kw) and columns"""
         def take(a):
-            off = drows.start if a[0] == "D" else 0
+            off = it1 if a[0] == "D" else 0
             r = (slice(rows.start - off, rows.stop - off) if isinstance(rows, range)
                  else np.asarray(rows) - off)
             return _pick(atom(a), r, cols)
@@ -325,23 +279,22 @@ def divergence_numeric_fractional(
 
     cols = slice(ix1, ix2 + 1)
     lines = [it1, it2]
-    # the nonlocal terms first, so that only the atoms they read are alive
-    # next to their Toeplitz slab and their J kernel
-    frac = [rl_integral_values(
-        GridFunction(dt, on(node.arg, window, slice(None)), u.spatial_starts, u.spatial_steps),
-        1.0 - alpha, rows=lines)[:, cols]
-        for node in cv.Ct_nodes if isinstance(node, FracIntTerm)]
-    j_f = next((n.f for n in cv.Ct_nodes if isinstance(n, JTerm)), None)
-    j_lines = None if j_f is None else _j_on_lines(
-        on(j_f, window, cols), phi, cols, phi_t, alpha, lines, qnodes)
-    ct_lines = on(cv.Ct_local, lines, cols)
-    for ivals in frac:
-        ct_lines = ct_lines + _pick(atom(("f", "phi", ())), np.asarray(lines), cols) * ivals
-    ct_line_lo, ct_line_hi = ct_lines
-    if j_lines is not None:
-        ct_line_lo = ct_line_lo + j_lines[0]
-        ct_line_hi = ct_line_hi + j_lines[1]
-    cx_lo, cx_hi = on(cv.Cx[0], range(it1, it2 + 1), [ix1, ix2]).T
+    # W first, so that only the atoms it reads are alive next to its
+    # Toeplitz slab and the J kernel; I^(1-alpha) reads all of its columns
+    # and J the cell's
+    w = on(cv.W, range(kw + 1), slice(None))
+    ivals = rl_integral_values(GridFunction(dt, w, u.spatial_starts, u.spatial_steps),
+                               1.0 - alpha, rows=lines)[:, cols]
+    taxis, w_cols, xs = phi.t_axis(), w[:, cols], xaxis[None, cols]
+    j_line_lo, j_line_hi = (
+        j_quadrature(lambda s: _interp_columns(s, taxis[:kw + 1], w_cols),
+                     lambda s: phi_t(s[:, None], xs), alpha, taxis[k], phi.T, nodes=qnodes)
+        for k in lines)
+    ct_line_lo, ct_line_hi = (on(cv.Ct_local, lines, cols)
+                              + _pick(atom(("f", "phi", ())), np.asarray(lines), cols) * ivals)
+    ct_line_lo = ct_line_lo + j_line_lo
+    ct_line_hi = ct_line_hi + j_line_hi
+    cx_lo, cx_hi = on(cv.Cx[0], drows, [ix1, ix2]).T
 
     int_ct_hi = float(np.trapezoid(ct_line_hi, dx=dx))
     int_ct_lo = float(np.trapezoid(ct_line_lo, dx=dx))
@@ -371,39 +324,34 @@ def divergence_numeric_fractional(
 # ---------------------------------------------------------------------------
 
 def conserved_vector_json_obj(cv: ConservedVector) -> dict:
-    nodes = []
-    for node in cv.Ct_nodes:
-        if isinstance(node, FracIntTerm):
-            nodes.append({"kind": "frac_int", "order": "1-alpha", "arg": str(node.arg)})
-        else:
-            nodes.append({"kind": "J", "f": str(node.f), "g": "phi_t"})
-    ct_parts = ([] if cv.Ct_local.is_zero and cv.Ct_nodes else [str(cv.Ct_local)])
-    ct_parts += [str(node) for node in cv.Ct_nodes]
+    w = str(cv.W)
+    frac = cv.regime == FRACTIONAL
+    ct_parts = [] if cv.Ct_local.is_zero and frac else [str(cv.Ct_local)]
+    if frac:
+        ct_parts += [f"phi*I^(1-alpha)[{w}]", f"J({w}, phi_t)"]
     return {
         "symmetry": cv.symmetry,
-        "W": str(cv.W),
+        "W": w,
         "Ct": " + ".join(ct_parts),
         "Cx": [str(c) for c in cv.Cx],
-        "nonlocal_nodes": nodes,
+        "nonlocal_nodes": [{"kind": "frac_int", "order": "1-alpha", "arg": w},
+                           {"kind": "J", "f": w, "g": "phi_t"}] if frac else [],
         "paper_diff": [dict(d) for d in cv.paper_diff],
     }
 
 
 def conserved_vector_latex(cv: ConservedVector) -> str:
-    from .expr import to_latex
-    from .fields import _gamma_latex
-
     lines = [rf"% conserved vector for {_gamma_latex(cv.symmetry)}", r"\begin{eqnarray}"]
-    ct = to_latex(cv.Ct_local) if not cv.Ct_local.is_zero or not cv.Ct_nodes else ""
-    for node in cv.Ct_nodes:
-        if isinstance(node, FracIntTerm):
-            piece = rf"\phi\, {{}}_{{0}}I_{{t}}^{{1-\alpha}}\left({to_latex(node.arg)}\right)"
-        else:
-            piece = rf"J\left({to_latex(node.f)},\phi_{{t}}\right)"
-        ct = piece if not ct else ct + "+" + piece
+    w = to_latex(cv.W)
+    frac = cv.regime == FRACTIONAL
+    ct_parts = [] if cv.Ct_local.is_zero and frac else [to_latex(cv.Ct_local)]
+    if frac:
+        ct_parts += [rf"\phi\, {{}}_{{0}}I_{{t}}^{{1-\alpha}}\left({w}\right)",
+                     rf"J\left({w},\phi_{{t}}\right)"]
+    ct = "+".join(ct_parts)
     lines.append(rf"C^{{t}} &=& {ct},\nonumber\\")
     for i, c in enumerate(cv.Cx):
         lines.append(rf"C^{{{_var_latex(spatial_name(i + 1))}}} &=& {to_latex(c)},\nonumber\\")
-    lines.append(rf"W &=& {to_latex(cv.W)}.\nonumber")
+    lines.append(rf"W &=& {w}.\nonumber")
     lines.append(r"\end{eqnarray}")
     return "\n".join(lines)

@@ -497,7 +497,7 @@ def j_quadrature(
     nodes: int = 64,
 ) -> float | np.ndarray:
     """J(f, g)(t) = 1/Gamma(1-alpha) * int_0^t int_t^T f(tau) g(mu)
-    (mu - tau)^(-alpha) dmu dtau, for 0 < alpha < 1 (covering integer 1).
+    (mu - tau)^(-alpha) dmu dtau, for 0 < alpha < 1.
 
     The corner singularity at tau = mu = t is absorbed by the graded
     substitutions tau = t(1 - s^(1/(1-alpha))), mu = t + (T-t) r^(1/(1-alpha))

@@ -3,6 +3,7 @@ print audit, and numeric (cell-flux) verification."""
 
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,8 +13,6 @@ from liesym import parse
 from liesym.catalog import FRACTIONAL, INTEGER, HeatEquation, generators
 from liesym.conservation import (
     ConservedVector,
-    FracIntTerm,
-    JTerm,
     NonlocalError,
     _lagrangian,
     conserved_vector,
@@ -23,9 +22,9 @@ from liesym.conservation import (
     divergence_onshell_symbolic,
     onshell_conservation_rules,
 )
-from liesym.expr import Expr, func_sym, substitute
+from liesym.expr import Expr, func_sym, substitute, to_latex
 from liesym.fields import vf_add, vf_scale
-from liesym.fracnum import GridFunction
+from liesym.fracnum import GridError, GridFunction
 from liesym.prolong import characteristic_expr
 
 ALPHA = 0.5
@@ -81,23 +80,42 @@ class TestOperatorComponents:
         # the operator value collapses the printed u_xx cancellation
         assert cv.Cx[0] == parse("phi*(u_t-u_{xx}) - u_x*phi_x + phi*u_{xx}")
 
-    def test_fractional_structure_invariant(self, eqf):
-        for g in generators(eqf):
-            cv = conserved_vector(g, eqf, attach_diff=False)
-            kinds = [type(n) for n in cv.Ct_nodes]
-            assert kinds.count(FracIntTerm) == 1
-            assert kinds.count(JTerm) == 1
+    def test_fractional_structure_invariant(self):
+        # W is the argument of both nonlocal terms of every fractional C^t,
+        # in the JSON records, the C^t string and the LaTeX C^t
+        for n in range(1, 7):
+            eq = HeatEquation(n, FRACTIONAL)
+            for g in generators(eq):
+                cv = conserved_vector(g, eq, attach_diff=False)
+                obj = conserved_vector_json_obj(cv)
+                w, tex_w = str(cv.W), to_latex(cv.W)
+                assert obj["nonlocal_nodes"] == [
+                    {"kind": "frac_int", "order": "1-alpha", "arg": w},
+                    {"kind": "J", "f": w, "g": "phi_t"},
+                ], (n, g.name)
+                local = [] if cv.Ct_local.is_zero else [str(cv.Ct_local)]
+                assert obj["Ct"] == " + ".join(
+                    local + [f"phi*I^(1-alpha)[{w}]", f"J({w}, phi_t)"]), (n, g.name)
+                ct_tex = conserved_vector_latex(cv).splitlines()[2]
+                assert rf"I_{{t}}^{{1-\alpha}}\left({tex_w}\right)+J\left({tex_w},\phi_{{t}}\right)," \
+                    in ct_tex, (n, g.name)
 
-    def test_integer_has_no_nonlocal_nodes(self, eq1):
-        for g in generators(eq1):
-            assert conserved_vector(g, eq1, attach_diff=False).Ct_nodes == ()
+    def test_integer_has_no_nonlocal_nodes(self):
+        for n in range(1, 7):
+            eq = HeatEquation(n, INTEGER)
+            for g in generators(eq):
+                cv = conserved_vector(g, eq, attach_diff=False)
+                obj = conserved_vector_json_obj(cv)
+                assert obj["nonlocal_nodes"] == [], (n, g.name)
+                assert obj["Ct"] == str(cv.Ct_local), (n, g.name)
+                ct_tex = conserved_vector_latex(cv).splitlines()[2]
+                assert ct_tex == rf"C^{{t}} &=& {to_latex(cv.Ct_local)},\nonumber\\", (n, g.name)
 
     def test_fractional_g03(self, eqf, gf):
         cv = conserved_vector(gf["G03"], eqf, attach_diff=False)
         assert cv.Ct_local.is_zero
-        frac = next(n for n in cv.Ct_nodes if isinstance(n, FracIntTerm))
-        jn = next(n for n in cv.Ct_nodes if isinstance(n, JTerm))
-        assert frac.arg == parse("u") and jn.f == parse("u")
+        assert cv.W == parse("u")
+        assert conserved_vector_json_obj(cv)["Ct"] == "phi*I^(1-alpha)[u] + J(u, phi_t)"
         assert cv.Cx[0] == parse("u*phi_x - phi*u_x")
 
     def test_linearity_in_the_generator(self, eq1, g1):
@@ -152,15 +170,15 @@ class TestSymbolicDivergence:
 
     def test_corrupted_component_detected(self, eq1, g1):
         cv = conserved_vector(g1["G6"], eq1, attach_diff=False)
-        bad = ConservedVector(cv.symmetry, cv.n, cv.regime, cv.W,
-                              cv.Ct_local, cv.Ct_nodes,
-                              (cv.Cx[0] + 2 * parse("phi*u_x"),))
+        bad = replace(cv, Cx=(cv.Cx[0] + 2 * parse("phi*u_x"),))
         assert not divergence_onshell_symbolic(bad, eq1).is_zero
 
-    def test_nonlocal_rejected(self, eqf, gf):
+    def test_nonlocal_rejected(self, eq1, eqf, gf):
         cv = conserved_vector(gf["G03"], eqf, attach_diff=False)
         with pytest.raises(NonlocalError):
             divergence_onshell_symbolic(cv, eqf)
+        with pytest.raises(NonlocalError):  # a fractional vector, whatever the equation
+            divergence_onshell_symbolic(cv, eq1)
 
 
 def test_onshell_conservation_rules_survive_caller_mutation(eq1):
@@ -221,10 +239,10 @@ class TestNumericFlux:
         return u, phi
 
     def test_constant_field_balances_exactly(self, eqf):
-        cv = ConservedVector("synthetic", 1, FRACTIONAL, parse("0"),
-                             parse("1"), (), (parse("0"),))
+        cv = ConservedVector("synthetic", 1, FRACTIONAL, parse("0"), parse("1"), (parse("0"),))
         u, phi = self._grids(lambda t, xs, a=None: 1.0, lambda t, xs, a=None: 1.0, 64)
-        rep = divergence_numeric_fractional(cv, eqf, u, phi, (0.5, 1.0, 0.0, 1.0), ALPHA)
+        rep = divergence_numeric_fractional(cv, eqf, u, phi, (0.5, 1.0, 0.0, 1.0), ALPHA,
+                                            phi_t=lambda mu, xv: 0.0)
         assert rep.imbalance == pytest.approx(0.0)
 
     def test_caputo_multiplier_positive_control(self, eqf, gf):
@@ -246,14 +264,9 @@ class TestNumericFlux:
         assert vals[1] < vals[0]
 
     def test_sign_corrupted_time_component_fails(self, eqf, gf):
+        # W flipped in both nonlocal terms; the local Ct and Cx are kept
         base = conserved_vector(gf["G03"], eqf, attach_diff=False)
-        frac = next(n for n in base.Ct_nodes if isinstance(n, FracIntTerm))
-        corrupted = ConservedVector(
-            base.symmetry, base.n, base.regime, base.W, base.Ct_local,
-            (FracIntTerm(-frac.arg),
-             next(n for n in base.Ct_nodes if isinstance(n, JTerm))),
-            base.Cx,
-        )
+        corrupted = replace(base, W=-base.W)
         c = math.gamma(ALPHA + 1.0) / 2.0
         u_func = lambda t, xs, a=None: t ** (ALPHA - 1.0)
         phi_func = lambda t, xs, a=None: (T - t) ** ALPHA + c * xs[0] ** 2
@@ -270,18 +283,32 @@ class TestNumericFlux:
     def test_cell_touching_origin_rejected(self, eqf, gf):
         cv = conserved_vector(gf["G03"], eqf, attach_diff=False)
         u, phi = self._grids(lambda t, xs, a=None: 1.0, lambda t, xs, a=None: 1.0, 64)
-        from liesym.fracnum import GridError
-
         with pytest.raises(GridError):
-            divergence_numeric_fractional(cv, eqf, u, phi, (0.0, 1.0, 0.0, 1.0), ALPHA)
+            divergence_numeric_fractional(cv, eqf, u, phi, (0.0, 1.0, 0.0, 1.0), ALPHA,
+                                          phi_t=lambda mu, xv: 0.0)
 
     def test_off_grid_cell_rejected(self, eqf, gf):
         cv = conserved_vector(gf["G03"], eqf, attach_diff=False)
         u, phi = self._grids(lambda t, xs, a=None: 1.0, lambda t, xs, a=None: 1.0, 64)
-        from liesym.fracnum import GridError
-
         with pytest.raises(GridError):
-            divergence_numeric_fractional(cv, eqf, u, phi, (0.5001, 1.0, 0.0, 1.0), ALPHA)
+            divergence_numeric_fractional(cv, eqf, u, phi, (0.5001, 1.0, 0.0, 1.0), ALPHA,
+                                          phi_t=lambda mu, xv: 0.0)
+
+    def test_fractional_derivative_in_w_rejected(self, eqf):
+        # the rows of a D_t^alpha atom are the cell's only, so W may not read one
+        cv = ConservedVector("synthetic", 1, FRACTIONAL, parse("Dalpha[u]"), parse("0"),
+                             (parse("0"),))
+        u, phi = self._grids(lambda t, xs, a=None: 1.0, lambda t, xs, a=None: 1.0, 64)
+        with pytest.raises(GridError):
+            divergence_numeric_fractional(cv, eqf, u, phi, (0.5, 1.0, 0.0, 1.0), ALPHA,
+                                          phi_t=lambda mu, xv: 0.0)
+
+    def test_integer_vector_rejected(self, eq1, eqf, g1):
+        cv = conserved_vector(g1["G6"], eq1, attach_diff=False)
+        u, phi = self._grids(lambda t, xs, a=None: 1.0, lambda t, xs, a=None: 1.0, 64)
+        with pytest.raises(GridError):
+            divergence_numeric_fractional(cv, eqf, u, phi, (0.5, 1.0, 0.0, 1.0), ALPHA,
+                                          phi_t=lambda mu, xv: 0.0)
 
     def test_boundary_integrals_golden(self, eqf):
         """Every finite generator's four boundary integrals on test 6b's data,
@@ -348,15 +375,14 @@ class TestBatchedJ:
                                           qnodes=self.QNODES, phi_t=phi_t)
         assert calls == [self.QNODES]
 
-    @pytest.mark.parametrize("given_phi_t", [True, False])
-    def test_line_j_equals_per_column_scalar_j(self, eqf, gf, monkeypatch, given_phi_t):
+    def test_line_j_equals_per_column_scalar_j(self, eqf, gf, monkeypatch):
         import numpy as np
 
         from liesym import conservation
         from liesym.fracnum import j_quadrature
 
         cv = conserved_vector(gf["G03"], eqf, attach_diff=False)
-        assert next(n.f for n in cv.Ct_nodes if isinstance(n, JTerm)) == parse("u")
+        assert cv.W == parse("u")
         # x-dependent data so that every column carries a different J
         u, phi = self._grids(lambda t, xs: t ** (ALPHA - 1.0) * (1.0 + xs[0]))
         phi_t = lambda mu, xv: -ALPHA * (T - mu) ** (ALPHA - 1.0) * np.cos(xv)
@@ -368,19 +394,15 @@ class TestBatchedJ:
 
         monkeypatch.setattr(conservation, "j_quadrature", spy)
         divergence_numeric_fractional(cv, eqf, u, phi, self.CELL, ALPHA, qnodes=self.QNODES,
-                                      phi_t=phi_t if given_phi_t else None)
+                                      phi_t=phi_t)
         assert [t for t, _ in lines] == [0.5, 1.0]
 
         taxis = u.t_axis()
-        phi_dt = np.gradient(phi.values, u.dt, axis=0, edge_order=2)
         for t, row in lines:
             assert row.shape == (33,)
             for col, x in enumerate(u.spatial_axis(0)):
                 f = lambda s: np.interp(s, taxis, u.values[:, col])
-                if given_phi_t:
-                    g = lambda s: phi_t(s, float(x))
-                else:
-                    g = lambda s: np.interp(s, taxis, phi_dt[:, col])
+                g = lambda s: phi_t(s, float(x))
                 ref = j_quadrature(f, g, ALPHA, t, T, nodes=self.QNODES)
                 assert abs(row[col] - ref) <= 1e-12 * abs(ref)
 
