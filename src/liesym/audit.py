@@ -22,7 +22,6 @@ from .reference_tables import BRACKET_TABLES, CONSERVED_TABLES
 __all__ = [
     "BracketAuditRecord",
     "bracket_table_audit",
-    "bracket_mismatch_keys",
     "conserved_vector_diff",
 ]
 
@@ -146,11 +145,6 @@ def bracket_table_audit(eq: HeatEquation) -> list[BracketAuditRecord]:
             entry.i, entry.j, entry.rhs, _combo_str(computed),
             "match" if same else "mismatch", entry.note))
     return records
-
-
-def bracket_mismatch_keys(eq: HeatEquation) -> frozenset:
-    """Keys (i, j, printed rhs) of the printed entries the oracle refutes."""
-    return frozenset(r.key for r in bracket_table_audit(eq) if r.verdict != "match")
 
 
 @lru_cache(maxsize=max(map(len, CONSERVED_TABLES.values())))

@@ -32,6 +32,7 @@ from .conservation import (
     conserved_vector_latex,
     divergence_onshell_symbolic,
 )
+from .expr import spatial_name
 from .fields import (
     VectorField,
     closure_report,
@@ -335,7 +336,7 @@ def _cmd_conserve(cfg: RunConfig) -> tuple[str, list, bool]:
                          f"  W  = {rec['W']}",
                          f"  Ct = {rec['Ct']}"]
                 for i, c in enumerate(rec["Cx"]):
-                    lines.append(f"  C{'xyzw'[i] if n <= 4 else 'x' + str(i + 1)} = {c}")
+                    lines.append(f"  C{spatial_name(i + 1)} = {c}")
                 if rec["paper_diff"]:
                     lines.append(f"  discrepancies vs print: "
                                  f"{[d['part'] for d in rec['paper_diff']]}")

@@ -22,7 +22,6 @@ from .expr import (
     _MAX_JET_ORDER,
     Expr,
     ExprError,
-    _func_laplacian,
     _var_latex,
     eval_numeric,
     func_sym,
@@ -48,7 +47,6 @@ __all__ = [
     "ConservedVector",
     "conserved_vector",
     "divergence_onshell_symbolic",
-    "onshell_conservation_rules",
     "FluxReport",
     "divergence_numeric_fractional",
     "conserved_vector_json_obj",
@@ -115,29 +113,15 @@ def conserved_vector(
     return cv
 
 
-@lru_cache(maxsize=32)
-def _onshell_conservation_rules(eq: HeatEquation) -> dict[str, Expr]:
-    rules = onshell_rules(eq)
-    rules["phi_t"] = -_func_laplacian("phi", eq.n)
-    return rules
-
-
-def onshell_conservation_rules(eq: HeatEquation) -> dict[str, Expr]:
-    """Both shells: u_t -> Lap(u) (and F_t -> Lap(F) for the infinite family)
-    plus the adjoint shell phi_t -> -Lap(phi).  Built once per equation; each
-    call returns a fresh dict."""
-    return dict(_onshell_conservation_rules(eq))
-
-
 def divergence_onshell_symbolic(cv: ConservedVector, eq: HeatEquation) -> Expr:
     """D_t C^t + sum_i D_{x_i} C^{x_i}, reduced on the solution shell and the
     adjoint shell; identically zero certifies the conservation law."""
-    if cv.regime == FRACTIONAL or eq.is_fractional:
+    if cv.regime == FRACTIONAL:
         raise NonlocalError("symbolic divergence covers local (integer) vectors only")
     div = total_derivative(cv.Ct_local, "t")
     for i in range(eq.n):
         div = div + total_derivative(cv.Cx[i], spatial_name(i + 1))
-    return substitute(div, onshell_conservation_rules(eq))
+    return substitute(div, onshell_rules(eq))
 
 
 # ---------------------------------------------------------------------------

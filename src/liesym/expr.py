@@ -621,8 +621,8 @@ def _rule_base(atom: tuple, rules: dict) -> tuple | None:
 
 
 class _CompiledRules:
-    """A rule set resolved once: atom heads, the cycle check, and each
-    atom's replacement (derived through total derivatives) on first use."""
+    """A rule set resolved once: atom heads, and each atom's fully reduced
+    replacement (derived through total derivatives) on first use."""
 
     def __init__(self, rules: tuple):
         self.base_rules: dict[tuple, Expr] = {}
@@ -631,91 +631,70 @@ class _CompiledRules:
             if atom[0] not in ("j", "f", "D"):
                 raise SubstitutionError(f"cannot substitute for atom {atom_name(atom)}")
             self.base_rules[atom] = rhs if isinstance(rhs, Expr) else Expr.number(rhs)
-        self._check_acyclic()
         self._replacements: dict[tuple, Expr | None] = {}
-
-    def _check_acyclic(self) -> None:
-        """Static cycle check on the rule dependency graph."""
-        edges: dict[tuple, set[tuple]] = {h: set() for h in self.base_rules}
-        for head, rhs in self.base_rules.items():
-            for atom in rhs.atoms():
-                base = _rule_base(atom, self.base_rules)
-                if base is not None:
-                    edges[head].add(base)
-        state: dict[tuple, int] = {}
-
-        def visit(node: tuple):
-            state[node] = 1
-            for nxt in edges[node]:
-                mark = state.get(nxt, 0)
-                if mark == 1:
-                    raise SubstitutionError("cycle detected in substitution rules")
-                if mark == 0:
-                    visit(nxt)
-            state[node] = 2
-
-        for h in edges:
-            if state.get(h, 0) == 0:
-                visit(h)
+        self._chain: set[tuple] = set()
 
     def replacement(self, atom: tuple) -> Expr | None:
+        """The atom's base rule extended by total derivatives and reduced
+        with the same memo, or None when no rule reaches the atom.  A chain
+        that returns to an atom or outgrows the jet-order cap raises
+        SubstitutionError, and is not cached."""
         if atom in self._replacements:
             return self._replacements[atom]
         base = _rule_base(atom, self.base_rules)
         if base is None:
             self._replacements[atom] = None
             return None
+        if atom in self._chain:
+            raise SubstitutionError(f"cycle in substitution rules at {atom_name(atom)}")
         a_idx = atom[1] if atom[0] in ("j", "D") else atom[2]
         b_idx = base[1] if base[0] in ("j", "D") else base[2]
-        out = self.base_rules[base]
-        for v in _multiset_diff(a_idx, b_idx):
-            out = total_derivative(out, v)
+        self._chain.add(atom)
+        try:
+            out = self.base_rules[base]
+            for v in _multiset_diff(a_idx, b_idx):
+                out = total_derivative(out, v)
+            out = self.reduce(out)
+        except JetOrderError as exc:
+            raise SubstitutionError(f"{atom_name(atom)}: reduction exceeds jet order cap") from exc
+        finally:
+            self._chain.discard(atom)
         self._replacements[atom] = out
         return out
+
+    def reduce(self, e: Expr) -> Expr:
+        """e with every atom a rule reaches replaced, in one pass."""
+        products = []
+        for mono, c in e._map.items():
+            plain: list = []
+            factor = _ONE
+            for atom, k in mono:
+                rep = self.replacement(atom)
+                if rep is None:
+                    plain.append((atom, k))
+                    continue
+                if k < 0:
+                    raise SubstitutionError(
+                        f"cannot substitute into negative power of {atom_name(atom)}")
+                factor = factor * rep ** k
+            products.append((Expr({tuple(plain): c}), factor))
+        return sum_of_products(products)
 
 
 @functools.lru_cache(maxsize=32)
 def _compile_rules(rules: tuple) -> _CompiledRules:
-    # a rule set that cycles raises here and is not cached
     return _CompiledRules(rules)
 
 
 def substitute(e: Expr, rules: Mapping) -> Expr:
-    """Replace jet / function / fractional atoms by expressions, repeatedly,
-    extending each rule through total derivatives (u_tt rewrites via D_t of
-    the u_t rule), until a fixpoint is reached.
+    """Replace jet / function / fractional atoms by expressions, extending
+    each rule through total derivatives (u_tt rewrites via D_t of the u_t
+    rule), until no rule applies.
 
-    Raises SubstitutionError on rule cycles or when the fixpoint is not
-    reached within the jet-order bound.
+    Raises SubstitutionError when an atom's reduction returns to that atom
+    or does not terminate within the jet-order cap.
     """
-    replacement = _compile_rules(tuple(rules.items())).replacement
-
-    current = e
-    for _ in range(_MAX_JET_ORDER + 2):
-        hit = False
-        products = []
-        for mono, c in current._map.items():
-            plain: list = []
-            factor = _ONE
-            for atom, k in mono:
-                rep = replacement(atom)
-                if rep is None:
-                    plain.append((atom, k))
-                else:
-                    hit = True
-                    if k < 0:
-                        raise SubstitutionError(
-                            f"cannot substitute into negative power of {atom_name(atom)}"
-                        )
-                    factor = factor * rep ** k
-            products.append((Expr({tuple(plain): c}), factor))
-        current = sum_of_products(products)
-        if not hit:
-            return current
-    # one final scan: anything still substitutable means no fixpoint
-    if any(replacement(atom) is not None for atom in current.atoms()):
-        raise SubstitutionError("substitution fixpoint not reached within bound")
-    return current
+    return _compile_rules(tuple(rules.items())).reduce(e)
 
 
 def equals_zero(e: Expr) -> bool:

@@ -186,9 +186,6 @@ class _Parser:
     def _coordinate(self, name: str, pos: int) -> Expr:
         if name in self.symbols:
             return self.symbols[name]
-        base = name.split("_", 1)[0]
-        if base in self.symbols and "_" not in name:
-            return self.symbols[base]
         try:
             atom = _resolve_atom(name)
         except UnknownSymbolError as err:

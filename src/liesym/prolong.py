@@ -101,13 +101,19 @@ def prolong2(f: VectorField, eq: HeatEquation) -> ProlongedField:
 
 @lru_cache(maxsize=32)
 def _onshell_rules(eq: HeatEquation) -> dict[str, Expr]:
-    return {"u_t": eq.rhs(), "F_t": _func_laplacian("F", eq.n)}
+    if eq.is_fractional:
+        raise RegimeError("symbolic on-shell reduction covers the integer regime only; verify "
+                          "fractional generators with liesym.fracnum.invariance_check")
+    return {"u_t": eq.rhs(), "F_t": _func_laplacian("F", eq.n),
+            "phi_t": -_func_laplacian("phi", eq.n)}
 
 
 def onshell_rules(eq: HeatEquation) -> dict[str, Expr]:
-    """Elimination rules for 'on all solutions': u_t -> Laplacian(u), and the
-    infinite-family symbol F transported the same way.  Built once per
-    equation; each call returns a fresh dict."""
+    """The integer equation's shell: u_t -> Lap(u), the infinite-family
+    symbol F transported the same way, and the adjoint shell
+    phi_t -> -Lap(phi) of the multiplier phi.  Both symbolic certificates
+    reduce with it.  Built once per equation; each call returns a fresh
+    dict.  Raises RegimeError for the fractional equation."""
     return dict(_onshell_rules(eq))
 
 
@@ -115,12 +121,6 @@ def determining_residual(f: VectorField, eq: HeatEquation) -> Expr:
     """Apply the second prolongation to u_t - Laplacian(u) and reduce on
     shell; the result is identically zero exactly when f is a point symmetry
     of the integer-order equation."""
-    if eq.is_fractional:
-        raise RegimeError(
-            "symbolic determining equations cover the integer regime only; "
-            "verify fractional generators numerically via finite transformations "
-            "(liesym.fracnum.invariance_check)"
-        )
     pr = prolong2(f, eq)
     residual = pr.eta("t")
     for name in spatial_names(eq.n):

@@ -17,7 +17,7 @@ import random
 import time
 
 from liesym import parse
-from liesym.audit import bracket_mismatch_keys
+from liesym.audit import bracket_table_audit
 from liesym.catalog import (
     FRACTIONAL,
     INTEGER,
@@ -111,7 +111,7 @@ def test_3_bracket_regression():
     for n in (1, 2, 3, 4):
         for regime in (INTEGER, FRACTIONAL):
             eq = HeatEquation(n, regime)
-            mismatches = bracket_mismatch_keys(eq)
+            mismatches = {r.key for r in bracket_table_audit(eq) if r.verdict != "match"}
             pinned = ALLOWED_BRACKET_DISCREPANCIES[(n, regime)]
             ok &= mismatches == pinned
             details.append(f"n={n}/{regime[:4]}:{len(pinned)}")

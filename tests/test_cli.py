@@ -22,6 +22,9 @@ GOLDEN_INTEGER_VERIFY = Path(__file__).parent / "data" / "verify_integer_n1-4_se
 # output of `verify --n 5..8 --format json --seed 7`, frozen before integer
 # coefficients and the compiled rule sets
 GOLDEN_INTEGER_VERIFY_5_8 = Path(__file__).parent / "data" / "verify_integer_n5-8_seed7.json"
+# output of `verify --n 5..10 --format json --seed 1`, frozen before both
+# symbolic certificates shared one on-shell rule set
+GOLDEN_INTEGER_VERIFY_5_10 = Path(__file__).parent / "data" / "verify_integer_n5-10_seed1.json"
 # output of `verify --n 1..3 --regime fractional --format json`, frozen while
 # every flow still had a hand-written inverse; its rounded ratios pin the
 # grid numerics, so a BLAS build that sums in another order may move them
@@ -165,6 +168,13 @@ class TestConserve:
         code, out = run_cli(["conserve", "--n", "1", "--format", "latex"], capsys)
         assert r"C^{t}" in out
 
+    def test_text_flux_labels_name_the_variables(self, capsys):
+        # the fifth variable is x5, and the first is x, not x1
+        code, out = run_cli(["conserve", "--n", "5"], capsys)
+        assert code == 0
+        assert "  Cx5 = " in out and "  Cw = " in out
+        assert "Cx1 =" not in out
+
 
 class TestVerify:
     def test_integer_2d_all_pass(self, capsys):
@@ -182,6 +192,11 @@ class TestVerify:
         code, out = run_cli(["verify", "--n", "5..8", "--format", "json", "--seed", "7"], capsys)
         assert code == 0
         assert out.encode() == GOLDEN_INTEGER_VERIFY_5_8.read_bytes()
+
+    def test_integer_json_n5_10_matches_golden(self, capsys):
+        code, out = run_cli(["verify", "--n", "5..10", "--format", "json", "--seed", "1"], capsys)
+        assert code == 0
+        assert out.encode() == GOLDEN_INTEGER_VERIFY_5_10.read_bytes()
 
     def test_fractional_json_matches_golden(self, capsys):
         code, out = run_cli(["verify", "--n", "1..3", "--regime", "fractional",

@@ -30,7 +30,6 @@ CALLER_DIRS = ("src/liesym", "scripts", "perfbench")
 
 # public names whose only callers are tests, each kept for the check it serves
 TEST_ONLY_NAMES = {
-    "liesym.audit.bracket_mismatch_keys": "acceptance test 3 compares it with the pinned allow-list",
     "liesym.fracnum.right_rl_derivative_grid": "acceptance test 7 and the adjoint-kernel test",
     "liesym.fracnum.right_rl_integral_values": "reference in test_time_derivative_identity",
 }

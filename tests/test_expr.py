@@ -143,6 +143,17 @@ class TestSubstitute:
             with pytest.raises(SubstitutionError):
                 substitute(parse("u_t"), {"u_t": parse("u_{xy}"), "u_y": parse("u_t")})
 
+    def test_recurrent_derived_replacement_detected(self):
+        # u_{txy} -> D_t(u_{tx}) = u_{ttx} -> D_{tx}(u_y) = u_{txy}: no cycle
+        # among the base rules, but the derived chain returns to its atom
+        with pytest.raises(SubstitutionError):
+            substitute(parse("u_{txy}"), {"u_t": parse("u_y"), "u_{xy}": parse("u_{tx}")})
+
+    def test_chain_past_jet_order_cap(self):
+        # u_{ttt} -> D_tt(u_{xx}) = u_{ttxx} -> D_txx(u_{xx}): order 5
+        with pytest.raises(SubstitutionError):
+            substitute(parse("u_{ttt}"), {"u_t": parse("u_{xx}")})
+
     def test_equal_rules_reuse_derived_replacements(self, monkeypatch):
         import liesym.expr as kernel
 

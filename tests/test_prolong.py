@@ -143,9 +143,16 @@ class TestDeterminingResidual:
         assert "integer regime" in str(err.value)
 
 
+def test_onshell_rules_reject_fractional_regime():
+    with pytest.raises(RegimeError) as err:
+        onshell_rules(HeatEquation(1, FRACTIONAL))
+    assert "integer regime" in str(err.value)
+
+
 def test_onshell_rules_survive_caller_mutation():
     eq = HeatEquation(2, INTEGER)
-    expected = {"u_t": parse("u_{xx} + u_{yy}"), "F_t": parse("F_{xx} + F_{yy}")}
+    expected = {"u_t": parse("u_{xx} + u_{yy}"), "F_t": parse("F_{xx} + F_{yy}"),
+                "phi_t": parse("-phi_{xx} - phi_{yy}")}
     rules = onshell_rules(eq)
     assert rules == expected
     rules["u_t"] = parse("0")
