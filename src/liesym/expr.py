@@ -711,7 +711,7 @@ def eval_numeric(e: Expr, binding: Mapping, alpha_value: float | None = None):
     Binding keys are atoms or atom names, printed or brace-free ("t",
     "u_{xy}" or "u_xy", "phi_t", "Dalpha[u]").  alpha is supplied
     separately and must lie in (0,1].  Each term is float(c) times value**k
-    in term order, and the terms are summed from 0.0.
+    in term order, and the terms are summed from 0.0 (_add_term).
     """
     if alpha_value is not None and not (0.0 < alpha_value <= 1.0):
         raise EvaluationError(f"alpha_value must lie in (0, 1]: {alpha_value}")
@@ -725,8 +725,8 @@ def eval_numeric(e: Expr, binding: Mapping, alpha_value: float | None = None):
             if value is None:
                 raise EvaluationError("alpha present but no alpha_value supplied" if atom == ("a",)
                                       else f"unbound symbol {atom_name(atom)!r}")
-            val = val * value ** k
-        total = total + val
+            val = val * (value if k == 1 else value ** k)
+        total = _add_term(total, val)
     if getattr(total, "ndim", 0):
         import numpy as np  # only array values reach here; they come from numpy
 
@@ -737,6 +737,22 @@ def eval_numeric(e: Expr, binding: Mapping, alpha_value: float | None = None):
     if not math.isfinite(total):
         raise EvaluationError(f"non-finite evaluation result: {total}")
     return total
+
+
+def _add_term(total, val):
+    """total + val for eval_numeric.  An array sum goes into whichever operand
+    already has the sum's shape and dtype, in place: each array here is a
+    temporary of eval_numeric's own, and IEEE addition commutes, signed zeros
+    included, so the bits are those of total + val."""
+    if getattr(total, "ndim", 0) or getattr(val, "ndim", 0):
+        import numpy as np  # only array values reach here; they come from numpy
+
+        shape = np.broadcast_shapes(np.shape(total), np.shape(val))
+        dtype = np.result_type(total, val)
+        for acc, other in ((total, val), (val, total)):
+            if getattr(acc, "shape", None) == shape and acc.dtype == dtype:
+                return np.add(acc, other, out=acc)
+    return total + val
 
 
 # ---------------------------------------------------------------------------

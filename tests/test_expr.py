@@ -229,6 +229,26 @@ class TestEval:
         with pytest.raises(EvaluationError, match="u_x"):
             eval_numeric(parse("t*u_x"), {"t": np.ones(3)})
 
+    def test_negated_zero_sums_to_positive_zero(self):
+        # summed from 0.0: 0.0 + (-0.0) is +0.0, for scalars and arrays alike
+        assert math.copysign(1.0, eval_numeric(parse("-u"), {"u": 0.0})) == 1.0
+        assert not np.signbit(eval_numeric(parse("-u"), {"u": np.zeros(3)})).any()
+
+    def test_one_atom_allocates_only_its_result(self):
+        # no value ** 1 copy and no second array for the sum: the result,
+        # plus the boolean mask of the finiteness check
+        import tracemalloc
+
+        u = np.random.default_rng(2).standard_normal((2048, 33))
+        for w in (parse("u"), parse("-u_x")):
+            tracemalloc.start()
+            try:
+                eval_numeric(w, {"u": u, "u_x": u})
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.2 * u.nbytes
+
 
 # one fixed array of values per default atom (alpha is passed separately)
 _RNG = np.random.default_rng(5)
@@ -248,6 +268,41 @@ def test_eval_numeric_on_arrays_is_elementwise(e):
         assert np.array_equal(np.broadcast_to(own, (1,)), got[i:i + 1])
         scalar = eval_numeric(e, {a: float(v[i]) for a, v in _ATOM_ARRAYS.items()}, 0.5)
         assert scalar == pytest.approx(float(got[i]), rel=1e-12, abs=1e-12)
+
+
+def _by_the_formula(e, values, alpha_value):
+    """eval_numeric's documented sum written out with no shortcut: float(c)
+    times value ** k for every factor, k = 1 included, and every term added
+    to a new total, from 0.0."""
+    values = {**values, ("a",): alpha_value}
+    total = 0.0
+    for mono, c in e.terms:
+        val = float(c)
+        for atom, k in mono:
+            val = val * values[atom] ** k
+        total = total + val
+    return total
+
+
+# signed zeros and a few magnitudes, so that 0.0 + (-0.0) sums occur
+_SIGNED = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 1.5])
+
+
+@settings(max_examples=150, deadline=None)
+@given(jet_polynomials(), st.data())
+def test_eval_numeric_bits_equal_the_formula(e, data):
+    atoms = [a for x in _ATOMS_1D for a in x.atoms() if a != ("a",)]
+    scalars = {a: data.draw(_SIGNED) for a in atoms}
+    got = eval_numeric(e, scalars, 0.5)
+    assert np.float64(got).tobytes() == np.float64(_by_the_formula(e, scalars, 0.5)).tobytes()
+    # the same shape for every atom, and a column t against a row x, which
+    # sums into a new array of the broadcast shape
+    for shapes in ({}, {("v", "t"): (5, 1), ("v", "x"): (1, 5)}):
+        arrays = {a: np.array(data.draw(st.lists(_SIGNED, min_size=5, max_size=5)))
+                  .reshape(shapes.get(a, (5,))) for a in atoms}
+        got = np.asarray(eval_numeric(e, arrays, 0.5))
+        want = np.asarray(_by_the_formula(e, arrays, 0.5))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # -- properties --------------------------------------------------------------

@@ -15,6 +15,7 @@ from liesym.fracnum import (
     _gauss01,
     _gl_integral_weights,
     _laplacian,
+    _legendre_pair,
     gamma_reciprocal,
     gl_weights,
     invariance_check,
@@ -472,8 +473,8 @@ def _rel_errors(got, ref):
 
 
 class TestGaussLegendre:
-    """_gauss01 (Newton's method on the Legendre recurrence) against 40-digit
-    mpmath nodes and weights."""
+    """_gauss01 (one pass of the Legendre recurrence, then a Taylor-series
+    correction of every root) against 40-digit mpmath nodes and weights."""
 
     @pytest.mark.parametrize("k", [1, 2, 7, 65, 64, 128, 256, 512])
     def test_against_mpmath(self, k):
@@ -502,6 +503,38 @@ class TestGaussLegendre:
     def test_arrays_are_read_only(self):
         s, ws = _gauss01(64)
         assert not s.flags.writeable and not ws.flags.writeable
+
+    @pytest.mark.parametrize("k", [64, 65])
+    def test_one_recurrence_pass(self, k, monkeypatch):
+        from liesym import fracnum
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return _legendre_pair(*args)
+
+        monkeypatch.setattr(fracnum, "_legendre_pair", counted)
+        _gauss01.__wrapped__(k)  # past the cache
+        assert calls == [k]
+
+    @pytest.mark.parametrize("k", [1024, 2048, 2049])
+    def test_a_newton_step_moves_no_node(self, k):
+        # one more Newton step on the recurrence from the nodes in [1/2, 1],
+        # each held as 1 + d above 3/4 (both maps from s are exact), is
+        # below one ulp of every node
+        s = _gauss01(k)[0][k // 2:]
+        c = (s >= 0.75).astype(float)
+        d = np.where(c == 1.0, 2.0 * (s - 1.0), 2.0 * s - 1.0)
+        p, q = _legendre_pair(k, c, d)
+        step = p * ((1.0 - c) - d) * ((1.0 + c) + d) / (k * (q - (c * p + d * p)))
+        assert np.max(np.abs(0.5 * step) / np.spacing(s)) <= 1.0
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 64, 65, 1024, 2048, 2049])
+    def test_nodes_ascend_and_weights_sum_to_one(self, k):
+        s, ws = _gauss01(k)
+        assert np.all(np.diff(s) > 0.0) and np.all(ws > 0.0)
+        assert abs(float(ws.sum()) - 1.0) <= 1e-14
 
 
 class TestJQuadrature:
@@ -681,3 +714,41 @@ class TestGridIO:
     def test_finite_values_enforced(self):
         with pytest.raises(GridError):
             GridFunction(0.1, np.array([0.0, math.inf, 1.0]))
+
+
+_FRESH_NUMERIC_PASS = """
+import json, math, sys
+from liesym.catalog import FRACTIONAL, HeatEquation, generators
+from liesym.cli import main
+from liesym.conservation import conserved_vector, divergence_numeric_fractional
+from liesym.fracnum import GridFunction
+
+code = main(["verify", "--n", "1", "--regime", "fractional"])
+eq = HeatEquation(1, FRACTIONAL)
+g03 = next(g for g in generators(eq) if g.name == "G03")
+c = math.gamma(1.5) / 2.0
+u = GridFunction.sample(lambda t, xs: t ** -0.5, 2.0, 200, ((0.0, 1.0, 17),), zero_at_origin=True)
+phi = GridFunction.sample(lambda t, xs: (2.0 - t) ** 0.5 + c * xs[0] ** 2, 2.0, 200,
+                          ((0.0, 1.0, 17),))
+divergence_numeric_fractional(conserved_vector(g03, eq, attach_diff=False), eq, u, phi,
+                              (0.5, 1.0, 0.0, 1.0), 0.5, qnodes=64,
+                              phi_t=lambda mu, xv: -0.5 * (2.0 - mu) ** -0.5)
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"])]))
+"""
+
+
+def test_fresh_numeric_pass_never_imports_numpy_ma():
+    # np.unique imports numpy.ma on first use (through np.ma.is_masked), a
+    # cost every CLI process would pay for a list of block starts
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import liesym
+
+    env = dict(os.environ, PYTHONPATH=str(Path(liesym.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _FRESH_NUMERIC_PASS], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert json.loads(out.splitlines()[-1]) == [0, []]
