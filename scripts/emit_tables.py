@@ -3,6 +3,7 @@
 discrepancy report for n = 1..4 in both regimes, as JSON and LaTeX files
 under out/tables/."""
 
+import argparse
 import json
 import pathlib
 import sys
@@ -51,7 +52,8 @@ def render(n, regime):
     }
 
 
-def main():
+def main(argv=None):
+    argparse.ArgumentParser(description=__doc__).parse_args(argv)
     OUT.mkdir(parents=True, exist_ok=True)
     for n in (1, 2, 3, 4):
         for regime in (INTEGER, FRACTIONAL):

@@ -26,7 +26,9 @@ from .expr import (
     eval_numeric,
     func_sym,
     spatial_name,
+    spatial_names,
     substitute,
+    sum_of_products,
     to_latex,
     total_derivative,
 )
@@ -102,12 +104,11 @@ def conserved_vector(
     w = characteristic_expr(vf)
     L = _lagrangian(eq)
     phi = func_sym("phi")
-    cx = []
-    for i in range(eq.n):
-        name = spatial_name(i + 1)
-        cx.append(vf.xi[i] * L + w * func_sym("phi", (name,)) - phi * total_derivative(w, name))
-    ct_local = vf.xi0 * L if eq.is_fractional else vf.xi0 * L + w * phi
-    cv = ConservedVector(vf.name, eq.n, eq.regime, w, ct_local, tuple(cx))
+    cx = tuple(sum_of_products(((xi, L), (w, func_sym("phi", (name,))),
+                                (-phi, total_derivative(w, name))))
+               for xi, name in zip(vf.xi, spatial_names(eq.n)))
+    ct_local = vf.xi0 * L if eq.is_fractional else sum_of_products(((vf.xi0, L), (w, phi)))
+    cv = ConservedVector(vf.name, eq.n, eq.regime, w, ct_local, cx)
     if attach_diff and eq.n <= 4:
         cv = replace(cv, paper_diff=tuple(conserved_vector_diff(cv, eq)))
     return cv
@@ -118,9 +119,9 @@ def divergence_onshell_symbolic(cv: ConservedVector, eq: HeatEquation) -> Expr:
     adjoint shell; identically zero certifies the conservation law."""
     if cv.regime == FRACTIONAL:
         raise NonlocalError("symbolic divergence covers local (integer) vectors only")
-    div = total_derivative(cv.Ct_local, "t")
-    for i in range(eq.n):
-        div = div + total_derivative(cv.Cx[i], spatial_name(i + 1))
+    one = Expr.one()
+    div = sum_of_products([(one, total_derivative(cv.Ct_local, "t"))] + [
+        (one, total_derivative(c, v)) for c, v in zip(cv.Cx, spatial_names(eq.n))])
     return substitute(div, onshell_rules(eq))
 
 

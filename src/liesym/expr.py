@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
@@ -104,8 +105,10 @@ _ALIAS = {"x1": "x", "x2": "y", "x3": "z", "x4": "w"}
 _NAMED_SPATIAL = {"x": 1, "y": 2, "z": 3, "w": 4}
 
 
+@functools.cache
 def canonical_var(name: str) -> str:
-    """Canonical variable name; x1..x4 are aliases of x, y, z, w."""
+    """Canonical variable name; x1..x4 are aliases of x, y, z, w.  Memoised
+    like _atom_key (an unknown name raises again on every call)."""
     name = _ALIAS.get(name, name)
     if name == "t" or name in _NAMED_SPATIAL:
         return name
@@ -132,12 +135,14 @@ def spatial_name(i: int) -> str:
     return ("x", "y", "z", "w")[i - 1] if i <= 4 else f"x{i}"
 
 
+@functools.cache
 def spatial_names(n: int) -> tuple[str, ...]:
     return tuple(spatial_name(i) for i in range(1, n + 1))
 
 
-def _sorted_index(names: Iterable[str]) -> tuple[str, ...]:
-    return tuple(sorted((canonical_var(v) for v in names), key=var_rank))
+@functools.cache
+def _sorted_index(names: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(sorted(map(canonical_var, names), key=var_rank))
 
 
 # ---------------------------------------------------------------------------
@@ -196,36 +201,54 @@ def _term_key(term: tuple) -> tuple:
     return tuple(map(_pair_key, term[0]))
 
 
+def _insert_power(out: list, atom: tuple, e: int) -> None:
+    """Multiply the sorted pair list out by atom**e in place: the position is
+    found by bisection over _atom_key and merged with a power already there,
+    which drops out when the exponents cancel."""
+    key, lo, hi = _atom_key(atom), 0, len(out)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _atom_key(out[mid][0]) < key:
+            lo = mid + 1
+        else:
+            hi = mid
+    if lo < len(out) and out[lo][0] == atom:
+        e += out[lo][1]
+        if e:
+            out[lo] = (atom, e)
+        else:
+            del out[lo]
+    else:
+        out.insert(lo, (atom, e))
+
+
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
+    """Product of two monomials: each atom of the shorter is merged into the
+    longer at its bisected position, so nothing is re-sorted."""
     if not m1:
         return m2
     if not m2:
         return m1
-    powers = dict(m1)
+    if len(m1) < len(m2):
+        m1, m2 = m2, m1
+    out = list(m1)
     for atom, e in m2:
-        k = powers.get(atom, 0) + e
-        if k == 0:
-            powers.pop(atom, None)
-        else:
-            powers[atom] = k
-    return tuple(sorted(powers.items(), key=_pair_key))
+        _insert_power(out, atom, e)
+    return tuple(out)
 
 
 def _replace_power(mono: Monomial, i: int, new: tuple) -> Monomial:
     """mono with one power of its i-th atom taken out and, unless new is (),
-    one power of the atom new put in at its sorted position, merged with a
-    power of new already there: a derivative step without a re-sort."""
+    one power of the atom new merged in (_insert_power): a derivative step
+    without a re-sort."""
     atom, k = mono[i]
     out = list(mono)
-    out[i:i + 1] = [(atom, k - 1)] if k != 1 else []
+    if k == 1:
+        del out[i]
+    else:
+        out[i] = (atom, k - 1)
     if new:
-        key, j = _atom_key(new), 0
-        while j < len(out) and _atom_key(out[j][0]) < key:
-            j += 1
-        if j < len(out) and out[j][0] == new:
-            out[j:j + 1] = [(new, out[j][1] + 1)] if out[j][1] != -1 else []
-        else:
-            out.insert(j, (new, 1))
+        _insert_power(out, new, 1)
     return tuple(out)
 
 
@@ -244,7 +267,7 @@ class Expr:
     def _from_map(mapping: dict) -> "Expr":
         """Normal form of a fresh map with zeros allowed; kept, not copied or sorted."""
         if not all(mapping.values()):
-            mapping = {m: c for m, c in mapping.items() if c}
+            mapping = dict(filter(operator.itemgetter(1), mapping.items()))
         return Expr(mapping) if mapping else _ZERO
 
     # -- constructors -------------------------------------------------------
@@ -422,12 +445,17 @@ def sum_of_products(pairs: Iterable[tuple[Expr, Expr]]) -> Expr:
     a pair with a zero factor forms no product."""
     acc: dict = {}
     for a, b in pairs:
-        for m1, c1 in a._map.items():
-            for m2, c2 in b._map.items():
-                mono = _mono_mul(m1, m2)
-                prev = acc.get(mono)
-                acc[mono] = c1 * c2 if prev is None else prev + c1 * c2
+        _add_products(acc, a._map.items(), b._map)
     return Expr._from_map(acc)
+
+
+def _add_products(acc: dict, terms, other: dict) -> None:
+    """Add c1*c2 * m1*m2 into acc for every term (m1, c1) and entry m2: c2 of other."""
+    for m1, c1 in terms:
+        for m2, c2 in other.items():
+            mono = _mono_mul(m1, m2)
+            prev = acc.get(mono)
+            acc[mono] = c1 * c2 if prev is None else prev + c1 * c2
 
 
 def _coerce(value) -> "Expr":
@@ -464,7 +492,7 @@ def jet(*index: str) -> Expr:
 def func_sym(name: str, index: Iterable[str] = ()) -> Expr:
     if name not in FUNCTION_SYMBOLS:
         raise UnknownSymbolError(f"unknown function symbol {name!r}")
-    return Expr.from_atom(("f", name, _sorted_index(index)))
+    return Expr.from_atom(("f", name, _sorted_index(tuple(index))))
 
 
 def _func_laplacian(name: str, n: int) -> Expr:
@@ -533,7 +561,7 @@ def _parse_index_string(body: str) -> tuple[str, ...]:
                 j += 1
         names.append(body[i:j])
         i = j
-    return _sorted_index(names)
+    return _sorted_index(tuple(names))
 
 
 # ---------------------------------------------------------------------------
@@ -663,11 +691,11 @@ class _CompiledRules:
         return out
 
     def reduce(self, e: Expr) -> Expr:
-        """e with every atom a rule reaches replaced, in one pass."""
-        products = []
+        """e with every atom a rule reaches replaced, in one pass into one map."""
+        acc: dict = {}
         for mono, c in e._map.items():
             plain: list = []
-            factor = _ONE
+            factor = None
             for atom, k in mono:
                 rep = self.replacement(atom)
                 if rep is None:
@@ -676,9 +704,13 @@ class _CompiledRules:
                 if k < 0:
                     raise SubstitutionError(
                         f"cannot substitute into negative power of {atom_name(atom)}")
-                factor = factor * rep ** k
-            products.append((Expr({tuple(plain): c}), factor))
-        return sum_of_products(products)
+                factor = rep ** k if factor is None else factor * rep ** k
+            if factor is None:
+                prev = acc.get(mono)
+                acc[mono] = c if prev is None else prev + c
+            else:
+                _add_products(acc, ((tuple(plain), c),), factor._map)
+        return Expr._from_map(acc)
 
 
 @functools.lru_cache(maxsize=32)
@@ -711,7 +743,7 @@ def eval_numeric(e: Expr, binding: Mapping, alpha_value: float | None = None):
     Binding keys are atoms or atom names, printed or brace-free ("t",
     "u_{xy}" or "u_xy", "phi_t", "Dalpha[u]").  alpha is supplied
     separately and must lie in (0,1].  Each term is float(c) times value**k
-    in term order, and the terms are summed from 0.0 (_add_term).
+    in term order, and the terms are summed from 0.0 (_in_place).
     """
     if alpha_value is not None and not (0.0 < alpha_value <= 1.0):
         raise EvaluationError(f"alpha_value must lie in (0, 1]: {alpha_value}")
@@ -725,8 +757,8 @@ def eval_numeric(e: Expr, binding: Mapping, alpha_value: float | None = None):
             if value is None:
                 raise EvaluationError("alpha present but no alpha_value supplied" if atom == ("a",)
                                       else f"unbound symbol {atom_name(atom)!r}")
-            val = val * (value if k == 1 else value ** k)
-        total = _add_term(total, val)
+            val = _in_place(val, value if k == 1 else value ** k, multiply=True)
+        total = _in_place(total, val)
     if getattr(total, "ndim", 0):
         import numpy as np  # only array values reach here; they come from numpy
 
@@ -739,20 +771,22 @@ def eval_numeric(e: Expr, binding: Mapping, alpha_value: float | None = None):
     return total
 
 
-def _add_term(total, val):
-    """total + val for eval_numeric.  An array sum goes into whichever operand
-    already has the sum's shape and dtype, in place: each array here is a
-    temporary of eval_numeric's own, and IEEE addition commutes, signed zeros
-    included, so the bits are those of total + val."""
-    if getattr(total, "ndim", 0) or getattr(val, "ndim", 0):
+def _in_place(acc, other, multiply: bool = False):
+    """acc + other, or acc * other, for eval_numeric.  An array result goes
+    in place into acc, or for a sum into either operand, when it already has
+    the result's shape and dtype: those operands are temporaries of
+    eval_numeric's own (a factor may be a bound value), and IEEE addition and
+    multiplication commute, signed zeros included, so the bits are those of
+    the plain expression."""
+    if getattr(acc, "ndim", 0) or getattr(other, "ndim", 0):
         import numpy as np  # only array values reach here; they come from numpy
 
-        shape = np.broadcast_shapes(np.shape(total), np.shape(val))
-        dtype = np.result_type(total, val)
-        for acc, other in ((total, val), (val, total)):
-            if getattr(acc, "shape", None) == shape and acc.dtype == dtype:
-                return np.add(acc, other, out=acc)
-    return total + val
+        shape = np.broadcast_shapes(np.shape(acc), np.shape(other))
+        dtype = np.result_type(acc, other)
+        for out in (acc,) if multiply else (acc, other):
+            if getattr(out, "shape", None) == shape and out.dtype == dtype:
+                return (np.multiply if multiply else np.add)(acc, other, out=out)
+    return acc * other if multiply else acc + other
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ derivative of a jet coordinate, as used by fractional conserved vectors.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Mapping
 
 from .expr import Expr, ParseError, UnknownSymbolError, _resolve_atom
@@ -187,10 +188,16 @@ class _Parser:
         if name in self.symbols:
             return self.symbols[name]
         try:
-            atom = _resolve_atom(name)
+            return _coordinate_expr(name)
         except UnknownSymbolError as err:
             raise ParseError(str(err), pos) from None
-        return Expr.from_atom(atom)
+
+
+@lru_cache(maxsize=512)
+def _coordinate_expr(name: str) -> Expr:
+    """The shared, immutable one-atom expression of a coordinate name (an
+    unknown name raises again on every call, never cached)."""
+    return Expr.from_atom(_resolve_atom(name))
 
 
 def parse(text: str, symbols: Mapping[str, Expr] | None = None) -> Expr:

@@ -23,15 +23,15 @@ from .expr import (
     Expr,
     ExprError,
     _func_laplacian,
-    canonical_var,
+    _sorted_index,
     eval_numeric,
     jet,
     spatial_name,
     spatial_names,
     substitute,
+    sum_of_products,
     total_derivative,
     var,
-    var_rank,
 )
 from .fields import VectorField, identify_rotation
 
@@ -58,10 +58,8 @@ class UnsupportedFlowError(ExprError):
 
 def characteristic_expr(f: VectorField) -> Expr:
     """W = eta - xi0*u_t - sum_i xi_i*u_{x_i}."""
-    w = f.eta - f.xi0 * jet("t")
-    for i in range(f.n):
-        w = w - f.xi[i] * jet(spatial_name(i + 1))
-    return w
+    return sum_of_products([(Expr.one(), f.eta)] + [
+        (coeff, -jet(v)) for coeff, v in zip((f.xi0, *f.xi), ("t", *spatial_names(f.n)))])
 
 
 class ProlongedField:
@@ -80,16 +78,14 @@ class ProlongedField:
         return self._dw[idx]
 
     def eta(self, *index: str) -> Expr:
-        idx = tuple(sorted((canonical_var(v) for v in index), key=var_rank))
+        idx = _sorted_index(index)
         if not 1 <= len(idx) <= 2:
             raise ValueError("prolong2 has coefficients of order 1 and 2 only")
         if idx not in self._eta:
             f = self.base
-            out = self._total_dw(idx)
-            for coeff, v in zip((f.xi0, *f.xi), ("t", *spatial_names(f.n))):
-                if not coeff.is_zero:
-                    out = out + coeff * jet(v, *idx)
-            self._eta[idx] = out
+            coeffs = zip((f.xi0, *f.xi), ("t", *spatial_names(f.n)))
+            self._eta[idx] = sum_of_products([(Expr.one(), self._total_dw(idx))] + [
+                (coeff, jet(v, *idx)) for coeff, v in coeffs if not coeff.is_zero])
         return self._eta[idx]
 
 
@@ -122,9 +118,9 @@ def determining_residual(f: VectorField, eq: HeatEquation) -> Expr:
     shell; the result is identically zero exactly when f is a point symmetry
     of the integer-order equation."""
     pr = prolong2(f, eq)
-    residual = pr.eta("t")
-    for name in spatial_names(eq.n):
-        residual = residual - pr.eta(name, name)
+    minus = Expr.number(-1)
+    residual = sum_of_products([(Expr.one(), pr.eta("t"))] + [
+        (minus, pr.eta(name, name)) for name in spatial_names(eq.n)])
     return substitute(residual, onshell_rules(eq))
 
 

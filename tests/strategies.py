@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 
-from liesym.expr import Expr, alpha, func_sym, jet, spatial_names, var
+from liesym.expr import Expr, _pair_key, alpha, func_sym, jet, spatial_names, var
 from liesym.fields import VectorField
 
 # atoms keep the jet order <= 2 so that two more total derivatives stay
@@ -14,6 +14,8 @@ _ATOMS_1D = (
     jet(), jet("t"), jet("x"), jet("x", "x"), jet("t", "x"),
     alpha(), func_sym("phi"), func_sym("phi", ("x",)),
 )
+
+_ATOM_TUPLES = tuple(atom for e in _ATOMS_1D for atom in e.atoms())
 
 _COEFFS = st.fractions(min_value=Fraction(-4), max_value=Fraction(4), max_denominator=4)
 
@@ -30,6 +32,15 @@ def jet_polynomials(draw, atoms=_ATOMS_1D, max_terms=4, max_factors=3):
             term = term * draw(st.sampled_from(atoms))
         out = out + term
     return out
+
+
+@st.composite
+def monomials(draw, max_atoms=4):
+    """Random monomial in normal form over the default 1D atoms: distinct
+    atoms sorted by pair key, exponents in -3..3 and never 0."""
+    powers = draw(st.dictionaries(st.sampled_from(_ATOM_TUPLES), st.integers(-3, 3).filter(bool),
+                                  max_size=max_atoms))
+    return tuple(sorted(powers.items(), key=_pair_key))
 
 
 @st.composite

@@ -3,6 +3,8 @@ reproduce each of them byte for byte, bracketing each basis pair once."""
 
 import importlib.util
 import itertools
+import shutil
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -35,6 +37,34 @@ def test_render_matches_golden_tables(n, regime):
     assert sorted(files) == golden
     for name, text in files.items():
         assert text.encode() == (TABLES / name).read_bytes(), name
+
+
+def _run_script(script, *argv):
+    return subprocess.run([sys.executable, str(script), *argv], capture_output=True, text=True,
+                          timeout=300)
+
+
+@pytest.mark.parametrize("argv, code", [("--help", 0), ("--tabels", 2)])
+def test_arguments_are_read_before_any_table_is_written(argv, code):
+    mtimes = {p.name: p.stat().st_mtime_ns for p in TABLES.iterdir()}
+    assert len(mtimes) == 48
+    proc = _run_script(ROOT / "scripts" / "emit_tables.py", argv)
+    assert proc.returncode == code
+    assert "usage: emit_tables.py" in (proc.stdout if code == 0 else proc.stderr)
+    assert {p.name: p.stat().st_mtime_ns for p in TABLES.iterdir()} == mtimes
+
+
+def test_plain_run_writes_the_golden_bytes(tmp_path):
+    # a copy of the script writes under its own checkout root: tmp_path/out/tables
+    (tmp_path / "scripts").mkdir()
+    shutil.copy(ROOT / "scripts" / "emit_tables.py", tmp_path / "scripts")
+    (tmp_path / "src").symlink_to(ROOT / "src")
+    proc = _run_script(tmp_path / "scripts" / "emit_tables.py")
+    assert proc.returncode == 0, proc.stderr
+    written = tmp_path / "out" / "tables"
+    assert sorted(p.name for p in written.iterdir()) == sorted(p.name for p in TABLES.iterdir())
+    for p in written.iterdir():
+        assert p.read_bytes() == (TABLES / p.name).read_bytes(), p.name
 
 
 @pytest.fixture

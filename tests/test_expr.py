@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liesym import parse
+from liesym import expr, parse
 from liesym.expr import (
     EvaluationError,
     Expr,
     JetOrderError,
     ParseError,
     SubstitutionError,
+    UnknownSymbolError,
     equals_zero,
     eval_numeric,
     func_sym,
@@ -27,7 +28,7 @@ from liesym.expr import (
     var,
 )
 
-from .strategies import _ATOMS_1D, _COEFFS, jet_polynomials
+from .strategies import _ATOM_TUPLES, _ATOMS_1D, _COEFFS, jet_polynomials, monomials
 
 
 class TestParse:
@@ -248,6 +249,23 @@ class TestEval:
             finally:
                 tracemalloc.stop()
             assert peak <= 1.2 * u.nbytes
+
+    def test_product_allocates_only_its_result(self):
+        # each further factor is multiplied into the term's own array
+        import tracemalloc
+
+        u = np.random.default_rng(3).standard_normal((2048, 33))
+        w = parse("t*u_x")
+        tracemalloc.start()
+        try:
+            got = eval_numeric(w, {"t": u, "u_x": u[::-1]})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * u.nbytes
+        want = _by_the_formula(w, {("v", "t"): u, ("j", ("x",)): u[::-1]}, None)
+        assert got.tobytes() == want.tobytes()
+        assert eval_numeric(w, {"t": -0.0, "u_x": 3.0}) == 0.0
 
 
 # one fixed array of values per default atom (alpha is passed separately)
@@ -485,3 +503,113 @@ def test_certificates_never_sort_terms(monkeypatch):
     residual = determining_residual(bad, eq)
     assert not residual.is_zero and calls == []
     assert str(residual) and calls  # printing reads the sorted terms
+
+
+# -- the kernel's merge, bisection and one-map reduction against references --
+
+def _mono_mul_by_sorting(m1, m2):
+    """The product as a dict of powers sorted by pair key: the reference."""
+    powers = dict(m1)
+    for atom, e in m2:
+        k = powers.get(atom, 0) + e
+        if k == 0:
+            powers.pop(atom)
+        else:
+            powers[atom] = k
+    return tuple(sorted(powers.items(), key=expr._pair_key))
+
+
+def _replace_power_by_scan(mono, i, new):
+    """The derivative step with the insertion point found by a linear scan."""
+    atom, k = mono[i]
+    out = list(mono)
+    out[i:i + 1] = [(atom, k - 1)] if k != 1 else []
+    if new:
+        j = 0
+        while j < len(out) and expr._atom_key(out[j][0]) < expr._atom_key(new):
+            j += 1
+        if j < len(out) and out[j][0] == new:
+            out[j:j + 1] = [(new, out[j][1] + 1)] if out[j][1] != -1 else []
+        else:
+            out.insert(j, (new, 1))
+    return tuple(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomials(), monomials(), st.data())
+def test_mono_mul_equals_the_sorted_reference(m1, m2, data):
+    # m3 cancels a drawn part of m1 in full, so atoms drop out of the product
+    cancelled = data.draw(st.sets(st.sampled_from(m1))) if m1 else set()
+    m3 = _mono_mul_by_sorting(m2, tuple(sorted(((a, -e) for a, e in cancelled),
+                                               key=expr._pair_key)))
+    for a, b in ((m1, m2), (m2, m1), (m1, m3), (m3, m1)):
+        assert expr._mono_mul(a, b) == _mono_mul_by_sorting(a, b)
+    inverse = tuple((a, -e) for a, e in m1)
+    assert expr._mono_mul(m1, inverse) == ()
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomials(), st.data())
+def test_replace_power_equals_the_linear_scan(mono, data):
+    if not mono:
+        return
+    i = data.draw(st.integers(0, len(mono) - 1))
+    new = data.draw(st.sampled_from(((), *_ATOM_TUPLES)))
+    assert expr._replace_power(mono, i, new) == _replace_power_by_scan(mono, i, new)
+
+
+def test_mono_mul_reads_no_pair_key(monkeypatch):
+    monos = [m for e in (parse("t*u_x*phi^2"), parse("x^2/u + alpha*u_t"), parse("u*u_x/t"))
+             for m in e._map]
+    want = [_mono_mul_by_sorting(a, b) for a in monos for b in monos]
+    calls = []
+    pair_key = expr._pair_key
+    monkeypatch.setattr(expr, "_pair_key", lambda pair: calls.append(pair) or pair_key(pair))
+    assert [expr._mono_mul(a, b) for a in monos for b in monos] == want
+    assert calls == []
+
+
+_SHELL_1D = {"u_t": parse("u_{xx} + x*u_x"), "phi_t": parse("-phi_{xx}")}
+
+
+def _reduce_by_products(rules, e):
+    """Reduction as one sum of products (plain part of each term, times the
+    product of its replacements): the reference for the one-map reduce."""
+    compiled = expr._compile_rules(tuple(rules.items()))
+    products = []
+    for mono, c in e._map.items():
+        plain, factor = [], Expr.one()
+        for atom, k in mono:
+            rep = compiled.replacement(atom)
+            if rep is None:
+                plain.append((atom, k))
+            else:
+                factor = factor * rep ** k
+        products.append((Expr({tuple(plain): c}), factor))
+    return expr.sum_of_products(products)
+
+
+@settings(max_examples=150, deadline=None)
+@given(jet_polynomials())
+def test_one_map_reduce_equals_the_sum_of_products(e):
+    assert substitute(e, _SHELL_1D) == _reduce_by_products(_SHELL_1D, e)
+
+
+def test_negative_power_of_a_ruled_atom_is_refused():
+    for text in ("1/u_t", "x*u_x/u_{tx}^2"):
+        with pytest.raises(SubstitutionError, match="negative power"):
+            substitute(parse(text), _SHELL_1D)
+    # a negative power of an atom no rule reaches is carried through
+    assert substitute(parse("u_t/u_x"), _SHELL_1D) == parse("u_{xx}/u_x + x")
+
+
+def test_name_memos_raise_on_every_call():
+    assert expr.canonical_var("x1") == "x"
+    assert expr._sorted_index(("x2", "t", "x1")) == ("t", "x", "y")
+    for _ in range(2):
+        with pytest.raises(UnknownSymbolError):
+            expr.canonical_var("q")
+        with pytest.raises(UnknownSymbolError):
+            expr._sorted_index(("x", "q"))
+        with pytest.raises(ParseError, match="at position 4"):
+            parse("t + q")
