@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .expr import (
     Expr,
@@ -129,27 +129,36 @@ def vf_scale(c, a: VectorField, name: str | None = None) -> VectorField:
 
 
 @lru_cache(maxsize=4096)
-def _jacobian(vf: VectorField) -> tuple[tuple[Expr, ...], ...]:
-    """Row k holds d_v of component k for v in (t, x_1..x_n, u); function
-    symbols in eta are chained through their (t, x) dependence.  Built once
-    per field for all of its brackets; the cached rows are shared."""
+def _jacobian(vf: VectorField) -> tuple[dict, dict, dict]:
+    """The support of a field, indexed by v in (t, x_1..x_n, u): its nonzero
+    components {v: A^v}, their negatives, and its nonzero derivatives
+    {v: {k: d_v A^k}}; function symbols in eta are chained through their
+    (t, x) dependence.  Built once per field for all of its brackets; the
+    cached maps are shared and must not be modified."""
     names = ("t", *spatial_names(vf.n))
-    return tuple(
-        tuple(point_derivative(c, v) for v in names) + (partial_derivative(c, ("j", ())),)
-        for c in vf.components()
-    )
+    comps = {k: c for k, c in enumerate(vf.components()) if c}
+    grads: dict[int, dict[int, Expr]] = {}
+    for k, c in comps.items():
+        ds = [point_derivative(c, v) for v in names] + [partial_derivative(c, ("j", ()))]
+        for v, d in enumerate(ds):
+            if d:
+                grads.setdefault(v, {})[k] = d
+    return comps, {k: -c for k, c in comps.items()}, grads
 
 
 def lie_bracket(A: VectorField, B: VectorField) -> VectorField:
-    """Commutator [A, B], componentwise sum_v A^v d_v B^k - B^v d_v A^k over
-    v in (t, x_1..x_n, u), each component accumulated in one normal form."""
+    """Commutator [A, B], componentwise sum_v A^v d_v B^k - B^v d_v A^k,
+    summed only where both factors are nonzero (_jacobian), each component
+    accumulated in one normal form."""
     if A.n != B.n:
         raise DimensionMismatchError(f"{A.name} and {B.name} have different dimensions")
-    a, minus_b = A.components(), [-c for c in B.components()]
-    comps = [
-        sum_of_products((*zip(a, db), *zip(minus_b, da)))
-        for da, db in zip(_jacobian(A), _jacobian(B))
-    ]
+    (a, _, da), (_, minus_b, db) = _jacobian(A), _jacobian(B)
+    pairs: list[list] = [[] for _ in range(A.n + 2)]
+    for coeffs, grads in ((a, db), (minus_b, da)):
+        for v, c in coeffs.items():
+            for k, d in grads.get(v, {}).items():
+                pairs[k].append((c, d))
+    comps = [sum_of_products(p) if p else Expr.zero() for p in pairs]
     return VectorField(f"[{A.name},{B.name}]", A.n, comps[0], tuple(comps[1:-1]), comps[-1])
 
 
@@ -254,19 +263,27 @@ def decompose_in_basis(f: VectorField, basis: Sequence[VectorField]) -> Decompos
     to the infinite-dimensional solution family, which the finite table keeps
     symbolic.
     """
+    basis = tuple(basis)
+    if any(b.n != f.n for b in basis):
+        raise DimensionMismatchError("basis dimension mismatch")
+    return _decompose(f, basis, {})
+
+
+def _decompose(f: VectorField, basis: tuple[VectorField, ...], reductions: dict) -> Decomposition:
+    """decompose_in_basis on a basis of f's dimension, reading the reduced
+    basis of each alpha degree from reductions (filled from _reduced_basis on
+    first use), so a caller decomposing many fields reduces its basis once."""
     if f.is_zero():
         return Decomposition("coeffs", {})
     if _has_derived_function_atom(f):
         return Decomposition("outside", infinite_family=True)
     if not basis:
         return Decomposition("outside")
-    for b in basis:
-        if b.n != f.n:
-            raise DimensionMismatchError("basis dimension mismatch")
-
-    basis = tuple(basis)
     residual = _coordinates(f.components())
-    dmax, pivots = _reduced_basis(basis, max((key[2] for key in residual), default=0))
+    degree = max((key[2] for key in residual), default=0)
+    if degree not in reductions:
+        reductions[degree] = _reduced_basis(basis, degree)
+    dmax, pivots = reductions[degree]
     solution: dict[int, Fraction] = {}
     for coord in [c for c in residual if c in pivots]:
         scale = residual[coord]
@@ -275,18 +292,17 @@ def decompose_in_basis(f: VectorField, basis: Sequence[VectorField]) -> Decompos
         _axpy(solution, scale, combo)
     if residual:
         return Decomposition("outside")
-    lambdas = [Expr.zero()] * len(basis)
-    for unknown, c in solution.items():
+    lambdas: dict[int, Expr] = {}
+    for unknown, c in sorted(solution.items()):
         k, d = divmod(unknown, dmax + 1)
-        lambdas[k] = lambdas[k] + Expr.number(c) * alpha() ** d
+        lambdas[k] = lambdas.get(k, Expr.zero()) + Expr.number(c) * alpha() ** d
     # independent verification, componentwise: f - sum_k lambda_k b_k == 0
-    terms = [(-lam, b.components()) for lam, b in zip(lambdas, basis) if lam]
+    terms = [(-lam, basis[k].components()) for k, lam in lambdas.items()]
     for comp, fc in enumerate(f.components()):
         acc = sum_of_products([(Expr.one(), fc)] + [(m, bc[comp]) for m, bc in terms])
         if not equals_zero(acc):
             return Decomposition("outside")
-    coeffs = {basis[k].name: lam for k, lam in enumerate(lambdas) if lam}
-    return Decomposition("coeffs", coeffs)
+    return Decomposition("coeffs", {basis[k].name: lam for k, lam in lambdas.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +402,11 @@ def _combo_latex(coeffs: dict[str, Expr]) -> str:
 def commutator_table(basis: Sequence[VectorField]) -> CommutatorTable:
     """Bracket of every pair i < j of the basis, decomposed over the basis:
     the one bracket/decomposition pass that the print audit, closure report,
-    derived series and canonical matching all read.  Tables are cached per
-    basis content; the cached table is shared and must not be modified."""
+    derived series and canonical matching all read.  The basis is reduced
+    once per alpha degree of the brackets, and every bracket is decomposed
+    against that reduction by _decompose, the path decompose_in_basis takes.
+    Tables are cached per basis content; the cached table is shared and must
+    not be modified."""
     return _commutator_table(tuple(basis))
 
 
@@ -396,8 +415,9 @@ def _commutator_table(basis: tuple[VectorField, ...]) -> CommutatorTable:
     names = [b.name for b in basis]
     if len(set(names)) != len(names):
         raise ValueError("basis names must be pairwise distinct")
+    reductions: dict = {}
     entries = tuple(
-        TableEntry(i, j, decompose_in_basis(lie_bracket(basis[i], basis[j]), basis))
+        TableEntry(i, j, _decompose(lie_bracket(basis[i], basis[j]), basis, reductions))
         for i in range(len(basis)) for j in range(i + 1, len(basis))
     )
     return CommutatorTable(basis, entries)
@@ -434,76 +454,65 @@ def closure_report(basis: Sequence[VectorField]) -> ClosureReport:
 # derived series (rank computations over the rational-function field in alpha)
 # ---------------------------------------------------------------------------
 
-def _rank(rows: list[list[Expr]]) -> int:
-    """Rank over Q(alpha) via fraction-free elimination; exact because
-    normal-form equality decides whether an entry is zero."""
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                piv = i
+def _echelon(rows) -> dict[int, dict[int, Expr]]:
+    """Echelon basis over Q(alpha) of sparse rows {column: Expr}, as {pivot:
+    row} with each row's pivot its lowest column; the rank is its length.  A
+    constant pivot is scaled to 1 and any other is eliminated fraction-free
+    (pv*row - f*pivot row), so entries stay polynomials in alpha and the
+    normal form decides which are zero."""
+    pivots: dict[int, dict[int, Expr]] = {}
+    zero = Expr.zero()
+    for row in rows:
+        while row:
+            col = min(row)
+            prow = pivots.get(col)
+            if prow is None:
+                if row[col].is_constant():
+                    inv = Expr.number(1 / row[col].as_fraction())
+                    row = {k: Expr.one() if k == col else inv * e for k, e in row.items()}
+                pivots[col] = row
                 break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        for i in range(len(rows)):
-            if i == rank or not rows[i][col]:
-                continue
-            f = rows[i][col]
-            rows[i] = [pv * a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+            pv, f = prow[col], -row[col]
+            sums = {k: sum_of_products(((pv, row.get(k, zero)), (f, prow.get(k, zero))))
+                    for k in row.keys() | prow.keys()}
+            row = {k: e for k, e in sums.items() if e}
+    return pivots
+
+
+def _level_brackets(rows: list[dict[int, Expr]], c: dict) -> Iterator[dict[int, Expr]]:
+    """[u, w] = sum_{i<j} (u_i w_j - u_j w_i) c[i, j] for every pair of rows."""
+    for a, u in enumerate(rows):
+        for w in rows[a + 1:]:
+            terms: dict[int, list] = {}
+            for i, ui in u.items():
+                for j, wj in w.items():
+                    cij = c.get((min(i, j), max(i, j)))
+                    if cij:
+                        coef = ui * wj if i < j else -(ui * wj)
+                        for l, e in cij.items():
+                            terms.setdefault(l, []).append((coef, e))
+            vec = {l: s for l, pairs in terms.items() if (s := sum_of_products(pairs))}
+            if vec:
+                yield vec
 
 
 def derived_series(basis: Sequence[VectorField]) -> list[int]:
-    """Dimensions of g, [g,g], [[g,g],[g,g]], ... until stabilization."""
+    """Dimensions of g, [g,g], [[g,g],[g,g]], ... until stabilization.  The
+    table is read once into sparse structure constants [b_i, b_j] =
+    sum_l c[i, j][l] b_l (i < j); each level is kept as an echelon basis
+    (_echelon), whose rows are bracketed pairwise for the next level."""
     table = commutator_table(basis)
     if any(not e.decomposition.in_span for e in table.entries):
         raise ValueError("basis is not closed; derived series undefined")
-    m = len(basis)
-    names = [b.name for b in table.basis]
-    # structure constants: [b_i, b_j] = sum_l c[i, j][l] b_l
-    c: dict[tuple[int, int], list[Expr]] = {}
-    for i, a in enumerate(names):
-        for j, b in enumerate(names):
-            if i != j:
-                coeffs = table.bracket(a, b).coeffs
-                c[i, j] = [coeffs.get(name, Expr.zero()) for name in names]
-
-    def derived(rows: list[list[Expr]]) -> list[list[Expr]]:
-        out = []
-        for a in range(len(rows)):
-            for b in range(a + 1, len(rows)):
-                vec = [Expr.zero()] * m
-                for i in range(m):
-                    if not rows[a][i]:
-                        continue
-                    for j in range(m):
-                        if i == j or not rows[b][j]:
-                            continue
-                        coef = rows[a][i] * rows[b][j]
-                        for l, cij in enumerate(c[i, j]):
-                            if cij:
-                                vec[l] = vec[l] + coef * cij
-                if any(vec):
-                    out.append(vec)
-        return out
-
-    current = [[Expr.one() if i == k else Expr.zero() for i in range(m)] for k in range(m)]
-    dims = [m]
+    index = table._index
+    c = {(e.i, e.j): {index[name]: v for name, v in e.decomposition.coeffs.items()}
+         for e in table.entries if e.decomposition.coeffs}
+    level = [{k: Expr.one()} for k in range(len(table.basis))]
+    dims = [len(level)]
     while True:
-        current = derived(current)
-        d = _rank(current)
-        dims.append(d)
-        if d == 0 or d == dims[-2]:
+        level = list(_echelon(_level_brackets(level, c)).values())
+        dims.append(len(level))
+        if not level or len(level) == dims[-2]:
             return dims
 
 

@@ -39,6 +39,10 @@ GOLDEN_FAMILY_GEN = {r: Path(__file__).parent / "data" / f"gen_{r}_n5-6.json"
 # series for n >= 2 is where alpha enters the elimination
 GOLDEN_ALGEBRA = {r: Path(__file__).parent / "data" / f"algebra_{r}_n1-5.json"
                   for r in ("integer", "fractional")}
+# output of `algebra --n 7..8 --regime <regime> --format json`, frozen while
+# the derived series still ranked every spanning bracket vector of a level
+GOLDEN_ALGEBRA_7_8 = {r: Path(__file__).parent / "data" / f"algebra_{r}_n7-8.json"
+                      for r in ("integer", "fractional")}
 
 
 def run_cli(args, capsys):
@@ -156,6 +160,13 @@ class TestAlgebra:
                              "--format", "json"], capsys)
         assert code == 0
         assert out.encode() == GOLDEN_ALGEBRA[regime].read_bytes()
+
+    @pytest.mark.parametrize("regime", sorted(GOLDEN_ALGEBRA_7_8))
+    def test_json_n7_8_matches_golden(self, regime, capsys):
+        code, out = run_cli(["algebra", "--n", "7..8", "--regime", regime,
+                             "--format", "json"], capsys)
+        assert code == 0
+        assert out.encode() == GOLDEN_ALGEBRA_7_8[regime].read_bytes()
 
 
 class TestConserve:

@@ -1,5 +1,6 @@
 """Lie bracket, decomposition, table, derived-series, and canonical-match tests."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -10,8 +11,17 @@ from hypothesis import given, settings
 
 from liesym import fields, parse
 from liesym.catalog import FRACTIONAL, INTEGER, HeatEquation, generators
-from liesym.expr import Expr, alpha, partial_derivative, point_derivative, spatial_name
+from liesym.expr import (
+    Expr,
+    alpha,
+    partial_derivative,
+    point_derivative,
+    spatial_name,
+    sum_of_products,
+)
 from liesym.fields import (
+    CommutatorTable,
+    Decomposition,
     DimensionMismatchError,
     VectorField,
     closure_report,
@@ -211,6 +221,15 @@ class TestDerivedSeries:
         with pytest.raises(ValueError):
             derived_series([g1["G3"], g1["G5"]])
 
+    @pytest.mark.parametrize("n,regime,series", [
+        (6, INTEGER, [31, 31]), (7, INTEGER, [39, 39]), (8, INTEGER, [48, 48]),
+        (6, FRACTIONAL, [23, 21, 21]), (7, FRACTIONAL, [30, 28, 28]),
+        (8, FRACTIONAL, [38, 36, 36]),
+    ])
+    def test_finite_catalog_series(self, n, regime, series):
+        finite = [g.field for g in generators(HeatEquation(n, regime)) if g.klass != "infinite"]
+        assert derived_series(finite) == series
+
 
 def _finite_table(eq):
     return commutator_table([g.field for g in generators(eq) if g.klass != "infinite"])
@@ -314,7 +333,22 @@ class TestTable:
     def test_rank_over_rational_functions_in_alpha(self, rows, rank):
         # [[alpha, alpha^2], [1, alpha]] is singular over Q(alpha) although
         # its alpha-power coordinates are independent over Q
-        assert fields._rank(rows) == rank
+        sparse = [{k: e for k, e in enumerate(row) if e} for row in rows]
+        assert len(fields._echelon(sparse)) == rank
+
+    def test_echelon_scales_constant_pivots_only(self):
+        pivots = fields._echelon([{0: Expr.number(2), 1: alpha()}, {1: alpha() + 1, 2: Expr.one()}])
+        assert pivots == {0: {0: Expr.one(), 1: alpha() / 2}, 1: {1: alpha() + 1, 2: Expr.one()}}
+
+    def test_table_reduces_its_basis_once_per_alpha_degree(self, monkeypatch):
+        finite = [g.field for g in generators(HeatEquation(3, FRACTIONAL)) if g.klass != "infinite"]
+        degrees = []
+        reduce = fields._reduced_basis
+        monkeypatch.setattr(fields, "_reduced_basis",
+                            lambda basis, d: degrees.append(d) or reduce(basis, d))
+        fields._commutator_table.cache_clear()
+        commutator_table(finite)
+        assert degrees and len(degrees) == len(set(degrees))
 
     def test_bracket_reads_each_ordered_pair(self, g3):
         table = commutator_table([g3["G37"], g3["G38"], g3["G39"]])
@@ -341,6 +375,49 @@ class TestTable:
 
 
 # -- catalog-wide exact properties -------------------------------------------
+
+def _jacobi_failures(table):
+    """Triples of basis names whose structure constants, read through
+    CommutatorTable.bracket, break [[a,b],c] + [[b,c],a] + [[c,a],b] = 0."""
+    names = [b.name for b in table.basis]
+    constants = {}
+    for a, b in itertools.product(names, repeat=2):
+        dec = table.bracket(a, b)
+        assert dec.in_span, (a, b)
+        constants[a, b] = dec.coeffs
+    failures = []
+    for a, b, c in itertools.combinations(names, 3):
+        products = {}
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            for l, cxy in constants[x, y].items():
+                for m, clz in constants[l, z].items():
+                    products.setdefault(m, []).append((cxy, clz))
+        if any(sum_of_products(p) for p in products.values()):
+            failures.append((a, b, c))
+    return failures
+
+
+@pytest.mark.parametrize("n,regime", [(n, r) for n in range(1, 9) for r in (INTEGER, FRACTIONAL)])
+def test_jacobi_of_table_structure_constants(n, regime):
+    finite = [g.field for g in generators(HeatEquation(n, regime)) if g.klass != "infinite"]
+    assert _jacobi_failures(commutator_table(finite)) == []
+
+
+def test_jacobi_of_table_fails_with_one_flipped_constant():
+    finite = [g.field for g in generators(HeatEquation(1, INTEGER)) if g.klass != "infinite"]
+    table = commutator_table(finite)
+    names = [b.name for b in table.basis]
+    k = next(k for k, e in enumerate(table.entries) if (names[e.i], names[e.j]) == ("G1", "G4"))
+    coeffs = dict(table.entries[k].decomposition.coeffs)
+    coeffs["G1"] = -coeffs["G1"]
+    entries = list(table.entries)
+    entries[k] = dataclasses.replace(entries[k], decomposition=Decomposition("coeffs", coeffs))
+    failures = _jacobi_failures(CommutatorTable(table.basis, tuple(entries)))
+    # the flipped constant of [G1, G4] (or of [G4, G1]) enters only the Jacobi
+    # sums of triples that hold G1 or G4
+    assert failures and all({"G1", "G4"} & set(triple) for triple in failures)
+    assert _jacobi_failures(table) == []
+
 
 @pytest.mark.parametrize("n,regime", [(n, r) for n in (1, 2) for r in (INTEGER, FRACTIONAL)])
 def test_antisymmetry_all_pairs(n, regime):
