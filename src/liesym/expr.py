@@ -442,16 +442,10 @@ def _render_term(mono: Monomial, c: Fraction) -> str:
 
 def sum_of_products(pairs: Iterable[tuple[Expr, Expr]]) -> Expr:
     """Normal form of the sum of a*b over the pairs, accumulated in one map;
-    a pair with a zero factor forms no product, and a unit a adds b's terms
-    as they are."""
+    a pair with a zero factor forms no product."""
     acc: dict = {}
     for a, b in pairs:
-        if a is _ONE:
-            for mono, c in b._map.items():
-                prev = acc.get(mono)
-                acc[mono] = c if prev is None else prev + c
-        else:
-            _add_products(acc, a._map.items(), b._map)
+        _add_products(acc, a._map.items(), b._map)
     return Expr._from_map(acc)
 
 

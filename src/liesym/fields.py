@@ -75,6 +75,13 @@ class VectorField:
     xi0: Expr
     xi: tuple[Expr, ...]
     eta: Expr
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self):
+        # computed once: table, reduction and Jacobian caches key on fields
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.name, self.n, self.xi0, self.xi, self.eta)))
+        return self._hash
 
     def __post_init__(self):
         if self.n < 1:
@@ -263,27 +270,19 @@ def decompose_in_basis(f: VectorField, basis: Sequence[VectorField]) -> Decompos
     to the infinite-dimensional solution family, which the finite table keeps
     symbolic.
     """
-    basis = tuple(basis)
-    if any(b.n != f.n for b in basis):
-        raise DimensionMismatchError("basis dimension mismatch")
-    return _decompose(f, basis, {})
-
-
-def _decompose(f: VectorField, basis: tuple[VectorField, ...], reductions: dict) -> Decomposition:
-    """decompose_in_basis on a basis of f's dimension, reading the reduced
-    basis of each alpha degree from reductions (filled from _reduced_basis on
-    first use), so a caller decomposing many fields reduces its basis once."""
     if f.is_zero():
         return Decomposition("coeffs", {})
     if _has_derived_function_atom(f):
         return Decomposition("outside", infinite_family=True)
     if not basis:
         return Decomposition("outside")
+    for b in basis:
+        if b.n != f.n:
+            raise DimensionMismatchError("basis dimension mismatch")
+
+    basis = tuple(basis)
     residual = _coordinates(f.components())
-    degree = max((key[2] for key in residual), default=0)
-    if degree not in reductions:
-        reductions[degree] = _reduced_basis(basis, degree)
-    dmax, pivots = reductions[degree]
+    dmax, pivots = _reduced_basis(basis, max((key[2] for key in residual), default=0))
     solution: dict[int, Fraction] = {}
     for coord in [c for c in residual if c in pivots]:
         scale = residual[coord]
@@ -402,11 +401,11 @@ def _combo_latex(coeffs: dict[str, Expr]) -> str:
 def commutator_table(basis: Sequence[VectorField]) -> CommutatorTable:
     """Bracket of every pair i < j of the basis, decomposed over the basis:
     the one bracket/decomposition pass that the print audit, closure report,
-    derived series and canonical matching all read.  The basis is reduced
-    once per alpha degree of the brackets, and every bracket is decomposed
-    against that reduction by _decompose, the path decompose_in_basis takes.
-    Tables are cached per basis content; the cached table is shared and must
-    not be modified."""
+    derived series and canonical matching all read.  Every bracket goes
+    through decompose_in_basis, whose cached reduction of the basis is
+    computed once per alpha degree (the basis key hashes cheaply, since each
+    field keeps its hash).  Tables are cached per basis content; the cached
+    table is shared and must not be modified."""
     return _commutator_table(tuple(basis))
 
 
@@ -415,9 +414,8 @@ def _commutator_table(basis: tuple[VectorField, ...]) -> CommutatorTable:
     names = [b.name for b in basis]
     if len(set(names)) != len(names):
         raise ValueError("basis names must be pairwise distinct")
-    reductions: dict = {}
     entries = tuple(
-        TableEntry(i, j, _decompose(lie_bracket(basis[i], basis[j]), basis, reductions))
+        TableEntry(i, j, decompose_in_basis(lie_bracket(basis[i], basis[j]), basis))
         for i in range(len(basis)) for j in range(i + 1, len(basis))
     )
     return CommutatorTable(basis, entries)
@@ -480,15 +478,15 @@ def _echelon(rows) -> dict[int, dict[int, Expr]]:
 
 
 def _level_brackets(rows: list[dict[int, Expr]], c: dict) -> Iterator[dict[int, Expr]]:
-    """[u, w] = sum_{i<j} (u_i w_j - u_j w_i) c[i, j] for every pair of rows."""
+    """[u, w] = sum_{i,j} u_i w_j c[i, j] for every pair of rows."""
     for a, u in enumerate(rows):
         for w in rows[a + 1:]:
             terms: dict[int, list] = {}
             for i, ui in u.items():
                 for j, wj in w.items():
-                    cij = c.get((min(i, j), max(i, j)))
+                    cij = c.get((i, j))
                     if cij:
-                        coef = ui * wj if i < j else -(ui * wj)
+                        coef = ui * wj
                         for l, e in cij.items():
                             terms.setdefault(l, []).append((coef, e))
             vec = {l: s for l, pairs in terms.items() if (s := sum_of_products(pairs))}
@@ -498,15 +496,17 @@ def _level_brackets(rows: list[dict[int, Expr]], c: dict) -> Iterator[dict[int, 
 
 def derived_series(basis: Sequence[VectorField]) -> list[int]:
     """Dimensions of g, [g,g], [[g,g],[g,g]], ... until stabilization.  The
-    table is read once into sparse structure constants [b_i, b_j] =
-    sum_l c[i, j][l] b_l (i < j); each level is kept as an echelon basis
-    (_echelon), whose rows are bracketed pairwise for the next level."""
+    table is read once, through CommutatorTable.bracket, into sparse
+    structure constants [b_i, b_j] = sum_l c[i, j][l] b_l; each level is kept
+    as an echelon basis (_echelon), whose rows are bracketed pairwise for the
+    next level."""
     table = commutator_table(basis)
     if any(not e.decomposition.in_span for e in table.entries):
         raise ValueError("basis is not closed; derived series undefined")
-    index = table._index
-    c = {(e.i, e.j): {index[name]: v for name, v in e.decomposition.coeffs.items()}
-         for e in table.entries if e.decomposition.coeffs}
+    names, index = [b.name for b in table.basis], table._index
+    c = {(i, j): {index[name]: v for name, v in coeffs.items()}
+         for i, a in enumerate(names) for j, b in enumerate(names)
+         if (coeffs := table.bracket(a, b).coeffs)}
     level = [{k: Expr.one()} for k in range(len(table.basis))]
     dims = [len(level)]
     while True:

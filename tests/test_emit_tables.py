@@ -69,23 +69,22 @@ def test_plain_run_writes_the_golden_bytes(tmp_path):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Calls of lie_bracket per ordered pair of field names and of _decompose
-    (the decomposition that commutator tables and decompose_in_basis share)
-    per (field, basis) names, counted from empty table and Jacobian caches in
-    every liesym module that binds them."""
+    """Calls of lie_bracket per ordered pair of field names and of
+    decompose_in_basis per (field, basis) names, counted from empty table
+    and Jacobian caches in every liesym module that binds them."""
     fields._commutator_table.cache_clear()
     fields._jacobian.cache_clear()
     keys = {
         "lie_bracket": lambda a, b: (a.name, b.name),
-        "_decompose": lambda f, basis: (f.name, tuple(b.name for b in basis)),
+        "decompose_in_basis": lambda f, basis: (f.name, tuple(b.name for b in basis)),
     }
     counts = {name: Counter() for name in keys}
     for name, key in keys.items():
         original = getattr(fields, name)
 
-        def counting(x, y, *rest, original=original, key=key, counter=counts[name]):
+        def counting(x, y, original=original, key=key, counter=counts[name]):
             counter[key(x, y)] += 1
-            return original(x, y, *rest)
+            return original(x, y)
 
         for modname, module in list(sys.modules.items()):
             if modname.startswith("liesym") and vars(module).get(name) is original:
@@ -103,7 +102,7 @@ def test_render_brackets_and_decomposes_each_pair_once(calls, regime):
     basis = [g.field for g in generators(HeatEquation(4, regime))]
     names = tuple(b.name for b in basis)
     assert dict(calls["lie_bracket"]) == _each_pair_once(basis)
-    assert dict(calls["_decompose"]) == {
+    assert dict(calls["decompose_in_basis"]) == {
         (f"[{a},{b}]", names): 1 for a, b in _each_pair_once(basis)
     }
 
@@ -115,7 +114,7 @@ def test_algebra_report_brackets_each_pair_once(calls):
     names = tuple(b.name for b in finite)
     assert dict(calls["lie_bracket"]) == _each_pair_once(finite)
     # one table, the finite basis's: canonical matching reads it and builds none
-    assert dict(calls["_decompose"]) == {
+    assert dict(calls["decompose_in_basis"]) == {
         (f"[{a},{b}]", names): 1 for a, b in _each_pair_once(finite)
     }
 

@@ -595,26 +595,6 @@ def test_one_map_reduce_equals_the_sum_of_products(e):
     assert substitute(e, _SHELL_1D) == _reduce_by_products(_SHELL_1D, e)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.booleans(), jet_polynomials(), jet_polynomials()), max_size=5))
-def test_unit_factor_adds_its_partner_as_the_general_product(draws):
-    pairs = [(Expr.one() if unit else a, b) for unit, a, b in draws]
-    acc = {}
-    for a, b in pairs:
-        expr._add_products(acc, a._map.items(), b._map)
-    want = expr.Expr._from_map(acc)
-    got = expr.sum_of_products(pairs)
-    # same entries, insertion order and coefficient types: every bit is kept
-    assert [(m, c, type(c)) for m, c in got._map.items()] == \
-        [(m, c, type(c)) for m, c in want._map.items()]
-
-
-def test_unit_factor_forms_no_monomial_product(monkeypatch):
-    terms = [parse("t*u_x - 2*x^2"), parse("alpha*u/3 + 1")]
-    monkeypatch.setattr(expr, "_mono_mul", lambda m1, m2: pytest.fail("product formed"))
-    assert expr.sum_of_products([(Expr.one(), e) for e in terms]) == terms[0] + terms[1]
-
-
 def test_negative_power_of_a_ruled_atom_is_refused():
     for text in ("1/u_t", "x*u_x/u_{tx}^2"):
         with pytest.raises(SubstitutionError, match="negative power"):

@@ -347,8 +347,18 @@ class TestTable:
         monkeypatch.setattr(fields, "_reduced_basis",
                             lambda basis, d: degrees.append(d) or reduce(basis, d))
         fields._commutator_table.cache_clear()
+        reduce.cache_clear()
         commutator_table(finite)
-        assert degrees and len(degrees) == len(set(degrees))
+        # every bracket looks its reduction up; each alpha degree is reduced once
+        assert len(degrees) > len(set(degrees)) == reduce.cache_info().misses
+
+    def test_field_hash_is_computed_once(self, monkeypatch, g3):
+        calls = []
+        expr_hash = Expr.__hash__
+        monkeypatch.setattr(Expr, "__hash__", lambda e: calls.append(e) or expr_hash(e))
+        vf = fields.vf_scale(2, g3["G37"])
+        assert hash(vf) == hash(vf) and len(calls) == len(vf.components())
+        assert hash(dataclasses.replace(vf, name="H")) != hash(vf)
 
     def test_bracket_reads_each_ordered_pair(self, g3):
         table = commutator_table([g3["G37"], g3["G38"], g3["G39"]])
