@@ -386,16 +386,12 @@ def invariance_check(
     """
     if transform.n != eq.n:
         raise GridError("transformation and equation dimensions differ")
-    # window check at the grid corners
-    corners = [(T, tuple(lo for lo, _hi, _c in spatial)),
-               (T, tuple(hi for _lo, hi, _c in spatial)),
-               (T / K, tuple(lo for lo, _hi, _c in spatial))]
-    for t, xs in corners:
-        t0, _ = transform.coord_inverse(t, xs)
-        if t0 <= 0.0:
-            raise GridError(
-                f"transformed domain leaves the sampled window: preimage t = {t0:.3g} <= 0"
-            )
+    # window check at every vertex of the sampled (t, x) box, exact for time
+    # maps affine in (t, x) and for those of t alone
+    t, *xs = np.meshgrid((T / K, T), *((lo, hi) for lo, hi, _c in spatial), indexing="ij")
+    t0 = np.min(transform.coord_inverse(t, tuple(xs))[0])
+    if t0 <= 0.0:
+        raise GridError(f"transformed domain leaves the sampled window: preimage t = {t0:.3g} <= 0")
     pushed = transform.push_solution(solution)
     spatial = tuple(map(tuple, spatial))
     base = _base_interior_max(eq, solution, alpha, T, K, spatial, tcut)

@@ -1,5 +1,7 @@
 """Second prolongation, determining-equation residuals (integer regime), and
-closed-form one-parameter flows of the catalog generator classes.
+one-parameter flows of point fields, read from the coefficients: one matrix
+exponential for every field that is affine in (t, x) with eta = c(t, x)*u,
+and the closed form of the projective field.
 
 The prolonged coefficients use the characteristic recursion
 eta^J = D_J(W) + xi0 * u_{J,t} + sum_i xi_i * u_{J,x_i} with
@@ -26,14 +28,15 @@ from .expr import (
     _sorted_index,
     eval_numeric,
     jet,
-    spatial_name,
+    partial_derivative,
+    point_derivative,
     spatial_names,
     substitute,
     sum_of_products,
     total_derivative,
     var,
 )
-from .fields import VectorField, identify_rotation
+from .fields import VectorField
 
 __all__ = [
     "ProlongedField",
@@ -161,111 +164,93 @@ class PointTransformation:
         return pushed
 
 
-def _diagonal_weights(g: NamedGenerator, alpha_value: float | None) -> tuple[float, list[float], float] | None:
-    """Recognize xi0 = a*t, xi_i = b_i*x_i, eta = c*u and return (a, b, c)."""
-    f = g.field
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a): the Taylor series of a/2^k, with k taking the largest row sum of
+    |a| to at most 1/2 (16 terms then leave < 1e-18), squared k times."""
+    k = max(0, math.frexp(np.abs(a).sum(axis=1).max())[1] + 1)
+    a = a / 2.0 ** k
+    out = term = np.eye(len(a))
+    for j in range(1, 17):
+        term = term @ a / j
+        out = out + term
+    for _ in range(k):
+        out = out @ out
+    return out
 
-    def linear_weight(coeff: Expr, var_name: str) -> float | None:
-        if coeff.is_zero:
-            return 0.0
-        ratio = coeff / (var(var_name) if var_name != "u" else jet())
-        if not ratio.is_constant():
-            try:
-                return eval_numeric(ratio, {}, alpha_value) if alpha_value else None
-            except ExprError:
-                return None
-        return float(ratio.as_fraction())
 
-    a = linear_weight(f.xi0, "t")
-    if a is None:
+def _affine_matrix(f: VectorField, alpha_value: float | None) -> np.ndarray | None:
+    """M with d/ds (t, x, 1, ln m) = M (t, x, 1, ln m) along the flow of f, or
+    None unless eta = c*u and xi0, every xi_i and c are affine in (t, x)."""
+    names = ("t", *spatial_names(f.n))
+    c = partial_derivative(f.eta, "u")
+    if c * jet() != f.eta:
         return None
-    bs = []
-    for i in range(f.n):
-        b = linear_weight(f.xi[i], spatial_name(i + 1))
-        if b is None:
+    m = np.zeros((f.n + 3, f.n + 3))
+    for row, e in zip((*range(f.n + 1), f.n + 2), (f.xi0, *f.xi, c)):
+        grads = [point_derivative(e, v) for v in names]
+        rest = sum_of_products([(Expr.one(), e)] + [(-g, var(v)) for g, v in zip(grads, names)])
+        entries = (*grads, rest)
+        if any(not a.atoms() <= {("a",)} for a in entries):
             return None
-        bs.append(b)
-    c = linear_weight(f.eta, "u")
-    if c is None:
-        return None
-    return a, bs, c
+        try:
+            m[row, :-1] = [eval_numeric(a, {}, alpha_value) for a in entries]
+        except ExprError as exc:
+            raise UnsupportedFlowError(f"{f.name}: {exc}") from None
+    return m
+
+
+def _apply_row(row, z):
+    """sum_j row[j] * z[j] over the nonzero entries; an entry of 1 passes z[j]
+    through as it is, so a coordinate the flow leaves alone keeps its object
+    and shape.  None when the row is zero."""
+    terms = [v if c == 1.0 else c * v for c, v in zip(row, z) if c != 0.0]
+    return sum(terms[1:], terms[0]) if terms else None
 
 
 def exponentiate_catalog(
-    g: NamedGenerator, eps: float, alpha_value: float | None = None
+    g: VectorField | NamedGenerator, eps: float, alpha_value: float | None = None
 ) -> PointTransformation:
-    """Exact flow of a catalog generator.  The class label picks the closed
-    form; a field that is not exactly of that form raises
-    UnsupportedFlowError.  alpha_value is required when the generator's
-    coefficients involve the symbolic order (fractional dilation).
+    """Exact flow of a point field, read from its coefficients.
+
+    Affine path: when eta = c*u and xi0, every xi_i and c are affine in
+    (t, x), the flow is linear in (t, x, 1, ln m), d/ds (t, x, 1, ln m) =
+    M (t, x, 1, ln m), so the group element at s is exp(s*M) applied to
+    (t, xs, 1, 0) (Olver, Applications of Lie Groups to Differential
+    Equations, ch. 1).  Projective path: the projective field
+    4t^2 d_t + 4t sum x_i d_i - u(2nt + |x|^2) d_u keeps its closed form.
+    Any other field raises UnsupportedFlowError, and so does a coefficient
+    that involves the symbolic order alpha when alpha_value is not given.
     """
-    f = g.field
+    f = g.field if isinstance(g, NamedGenerator) else g
     n = f.n
-    label = f"{g.name}(eps={eps})"
+    label = f"{f.name}(eps={eps})"
+    m = _affine_matrix(f, alpha_value)
+    if m is not None:
+
+        def flow(s, t, xs):
+            e = _expm(s * m)
+            z = (t, *xs, 1.0)
+            t1, *ys = (_apply_row(row, z) for row in e[:n + 1, :-1])
+            log_m = _apply_row(e[n + 2, :-1], z)
+            return t1, tuple(ys), 1.0 if log_m is None else np.exp(log_m)
+
+        return PointTransformation(label, n, eps, flow)
+
+    # flow of 4t^2 d_t + 4t sum x_i d_i - u(2nt + sum x_i^2) d_u:
+    #   t -> t/(1-4 s t), x -> x/(1-4 s t),
+    #   u -> u (1-4 s t)^{n/2} exp(-s |x|^2/(1-4 s t))
     t_, xs_, u_ = var("t"), [var(v) for v in spatial_names(n)], jet()
+    if (f.xi0, f.xi, f.eta) != (4 * t_ * t_, tuple(4 * t_ * x for x in xs_),
+                                -u_ * (2 * n * t_ + sum(x * x for x in xs_))):
+        raise UnsupportedFlowError(
+            f"{f.name}: no flow; the field is neither affine in (t, x) with eta = c(t, x)*u "
+            "nor the projective field")
 
-    if g.klass in ("space-translation", "time-translation"):
-        if not (f.eta.is_zero and all(c.is_constant() for c in (f.xi0, *f.xi))):
-            raise UnsupportedFlowError(f"{g.name}: not a constant translation")
-        dt, dx = float(f.xi0.as_fraction()), [float(c.as_fraction()) for c in f.xi]
+    def flow(s, t, xs):
+        d = 1.0 - 4.0 * s * t
+        if np.any(d <= 0.0):
+            raise UnsupportedFlowError("projective flow leaves its domain (1-4*eps*t <= 0)")
+        r2 = sum(x * x for x in xs)
+        return t / d, tuple(x / d for x in xs), d ** (n / 2.0) * np.exp(-s * r2 / d)
 
-        def flow(s, t, xs):
-            return t + dt * s, tuple(x + d * s for x, d in zip(xs, dx)), 1.0
-
-    elif g.klass == "rotation":
-        ident_rot = identify_rotation(f)
-        if ident_rot is None:
-            raise UnsupportedFlowError(f"{g.name}: not a recognizable rotation")
-        p, q, sign = ident_rot
-        p, q = p - 1, q - 1
-
-        def flow(s, t, xs):
-            # flow of sign*(x_p d_q - x_q d_p): rotates the (p, q) plane
-            cos_a, sin_a = math.cos(sign * s), math.sin(sign * s)
-            ys = list(xs)
-            ys[p] = cos_a * xs[p] - sin_a * xs[q]
-            ys[q] = sin_a * xs[p] + cos_a * xs[q]
-            return t, tuple(ys), 1.0
-
-    elif g.klass in ("dilation", "homogeneity"):
-        weights = _diagonal_weights(g, alpha_value)
-        if weights is None:
-            raise UnsupportedFlowError(f"{g.name}: not diagonal, or its weights need alpha_value")
-        a, bs, c = weights
-
-        def flow(s, t, xs):
-            return (t * math.exp(a * s), tuple(x * math.exp(b * s) for x, b in zip(xs, bs)),
-                    math.exp(c * s))
-
-    elif g.klass == "solution":
-        # Galilean 2t d_i - u x_i d_u: x_i -> x_i + 2 s t,
-        # u -> u exp(-s x_i - s^2 t)
-        i = next((k for k in range(n) if not f.xi[k].is_zero), 0)
-        galilean = tuple(2 * t_ if k == i else Expr.zero() for k in range(n))
-        if (f.xi0, f.xi, f.eta) != (Expr.zero(), galilean, -u_ * xs_[i]):
-            raise UnsupportedFlowError(f"{g.name}: unsupported solution-symmetry shape")
-
-        def flow(s, t, xs):
-            ys = list(xs)
-            ys[i] = xs[i] + 2.0 * s * t
-            return t, tuple(ys), np.exp(-s * xs[i] - s * s * t)
-
-    elif g.klass == "projective":
-        # flow of 4t^2 d_t + 4t sum x_i d_i - u(2nt + sum x_i^2) d_u:
-        #   t -> t/(1-4 s t), x -> x/(1-4 s t),
-        #   u -> u (1-4 s t)^{n/2} exp(-s |x|^2/(1-4 s t))
-        r2_ = sum(x * x for x in xs_)
-        if (f.xi0, f.xi, f.eta) != (4 * t_ * t_, tuple(4 * t_ * x for x in xs_),
-                                    -u_ * (2 * n * t_ + r2_)):
-            raise UnsupportedFlowError(f"{g.name}: not the projective field")
-
-        def flow(s, t, xs):
-            d = 1.0 - 4.0 * s * t
-            if np.any(d <= 0.0):
-                raise UnsupportedFlowError("projective flow leaves its domain (1-4*eps*t <= 0)")
-            r2 = sum(x * x for x in xs)
-            return t / d, tuple(x / d for x in xs), d ** (n / 2.0) * np.exp(-s * r2 / d)
-
-    else:
-        raise UnsupportedFlowError(f"no closed-form flow for class {g.klass!r}")
     return PointTransformation(label, n, eps, flow)

@@ -709,6 +709,20 @@ class TestInvariance:
                              spatial=((-1.0, 1.0, 17),))
         assert "leaves the sampled window" in str(err.value)
 
+    def test_window_checked_at_every_vertex(self):
+        # the flow of x d_t maps (t, x) to (t + s x, x): at eps = 0.2 the
+        # preimage of (T/K, x_hi) has t < 0, though (T, x_lo), (T, x_hi) and
+        # (T/K, x_lo) all keep t > 0
+        from liesym import parse
+        from liesym.fields import VectorField
+        from liesym.prolong import exponentiate_catalog
+
+        eq = HeatEquation(1, FRACTIONAL)
+        tr = exponentiate_catalog(VectorField("x*d_t", 1, parse("x"), (parse("0"),), parse("0")), 0.2)
+        with pytest.raises(GridError) as err:
+            invariance_check(eq, lambda t, xs, a: t, tr, 0.5, K=64, spatial=((-1.0, 1.0, 17),))
+        assert "leaves the sampled window" in str(err.value)
+
 
 class TestGridIO:
     def test_finite_values_enforced(self):

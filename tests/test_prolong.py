@@ -4,6 +4,7 @@ import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from liesym import parse
@@ -15,8 +16,8 @@ from liesym.catalog import (
     exact_solutions,
     generators,
 )
-from liesym.expr import eval_numeric, spatial_names
-from liesym.fields import VectorField, vf_add
+from liesym.expr import eval_numeric, jet, spatial_name, spatial_names, var
+from liesym.fields import VectorField, identify_rotation, vf_add
 from liesym.prolong import (
     RegimeError,
     UnsupportedFlowError,
@@ -36,6 +37,74 @@ from .helpers import heat_residual_stencil
 FINITE_1_3 = {g.name: g for regime in (INTEGER, FRACTIONAL) for n in (1, 2, 3)
               for g in generators(HeatEquation(n, regime)) if g.klass != "infinite"}
 ALPHA = 0.5
+
+# fields that are no catalog generators but have flows: eta changed to
+# c(t, x)*u, the alpha-dropped fractional dilation 2t d_t + x d_x, and sums of
+# two generators, R1_2 + D (n = 2 fractional) and B1 + Tt (n = 1 integer)
+_EXTRA_FLOWS = {
+    "G2-u*x": replace(FINITE_1_3["G2"].field, eta=parse("u*x")),
+    "G1-u": replace(FINITE_1_3["G1"].field, eta=parse("u")),
+    "2t*d_t+x*d_x": VectorField("2t*d_t+x*d_x", 1, parse("2*t"), (parse("x"),), parse("0")),
+    "G13+G14": vf_add(FINITE_1_3["G13"].field, FINITE_1_3["G14"].field),
+    "G2+G3": vf_add(FINITE_1_3["G2"].field, FINITE_1_3["G3"].field),
+}
+FLOW_FIELDS = {**{name: g.field for name, g in FINITE_1_3.items()}, **_EXTRA_FLOWS}
+
+# fields without a flow: a projective label on a non-projective field, and a
+# field quadratic in x that is not the projective one
+NO_FLOW = {
+    "G5-u": NamedGenerator(replace(FINITE_1_3["G5"].field, eta=parse("u")), "projective"),
+    "x^2*d_x": VectorField("x^2*d_x", 1, parse("0"), (parse("x^2"),), parse("0")),
+}
+
+
+def closed_form_flow(g: NamedGenerator, alpha_value: float):
+    """flow(s, t, xs) of an affine catalog generator in closed form, chosen by
+    its class: the oracle for the matrix exponential of exponentiate_catalog."""
+    f, n = g.field, g.field.n
+    if g.klass in ("space-translation", "time-translation"):
+        dt, dx = float(f.xi0.as_fraction()), [float(c.as_fraction()) for c in f.xi]
+        return lambda s, t, xs: (t + dt * s, tuple(x + d * s for x, d in zip(xs, dx)), 1.0)
+    if g.klass == "rotation":
+        # sign*(x_p d_q - x_q d_p) rotates the (p, q) plane
+        p, q, sign = identify_rotation(f)
+        p, q = p - 1, q - 1
+
+        def rotation(s, t, xs):
+            cos_a, sin_a = math.cos(sign * s), math.sin(sign * s)
+            ys = list(xs)
+            ys[p] = cos_a * xs[p] - sin_a * xs[q]
+            ys[q] = sin_a * xs[p] + cos_a * xs[q]
+            return t, tuple(ys), 1.0
+
+        return rotation
+    if g.klass in ("dilation", "homogeneity"):
+        # xi0 = a*t, xi_i = b_i*x_i, eta = c*u
+        a, *bs, c = (0.0 if coeff.is_zero else eval_numeric(coeff / v, {}, alpha_value)
+                     for coeff, v in zip((f.xi0, *f.xi, f.eta),
+                                         (var("t"), *map(var, spatial_names(n)), jet())))
+        return lambda s, t, xs: (t * math.exp(a * s),
+                                 tuple(x * math.exp(b * s) for x, b in zip(xs, bs)),
+                                 math.exp(c * s))
+    assert g.klass == "solution"
+    # Galilean 2t d_i - u x_i d_u: x_i -> x_i + 2 s t, u -> u exp(-s x_i - s^2 t)
+    i = next(k for k in range(n) if not f.xi[k].is_zero)
+    assert (f.xi0, f.xi[i], f.eta) == (parse("0"), 2 * var("t"), -jet() * var(spatial_name(i + 1)))
+
+    def galilean(s, t, xs):
+        ys = list(xs)
+        ys[i] = xs[i] + 2.0 * s * t
+        return t, tuple(ys), np.exp(-s * xs[i] - s * s * t)
+
+    return galilean
+
+
+def verify_grid(n: int):
+    """The points of verify's fractional invariance grid (T = 1, K = 256,
+    25 points on [-1.5, 1.5] per axis, t = 0 left out) as broadcast axes."""
+    t = np.arange(1, 257).reshape(-1, *[1] * n) / 256
+    axis = np.linspace(-1.5, 1.5, 25)
+    return t, tuple(axis.reshape([1] + [25 if j == i else 1 for j in range(n)]) for i in range(n))
 
 
 @pytest.fixture(scope="module")
@@ -206,15 +275,15 @@ class TestFlows:
         with pytest.raises(UnsupportedFlowError):
             exponentiate_catalog(g1["G7"], 0.1)
 
-    @pytest.mark.parametrize("name", FINITE_1_3)
+    @pytest.mark.parametrize("name", FLOW_FIELDS)
     def test_flow_derivative_at_zero(self, name):
         # d/deps at 0 of the flow reproduces the field (central difference)
         rng = random.Random(11)
-        g = FINITE_1_3[name]
-        n = g.field.n
+        f = FLOW_FIELDS[name]
+        n = f.n
         h = 1e-4
-        plus = exponentiate_catalog(g, h, alpha_value=ALPHA)
-        minus = exponentiate_catalog(g, -h, alpha_value=ALPHA)
+        plus = exponentiate_catalog(f, h, alpha_value=ALPHA)
+        minus = exponentiate_catalog(f, -h, alpha_value=ALPHA)
         for _ in range(20):
             t = rng.uniform(0.1, 0.8)
             xs = tuple(rng.uniform(-1.0, 1.0) for _ in range(n))
@@ -225,31 +294,30 @@ class TestFlows:
                      *((a - b) / (2 * h) for a, b in zip(fp[1], fm[1])),
                      (fp[2] - fm[2]) / (2 * h)]
             binding = {"t": t, "u": u, **dict(zip(spatial_names(n), xs))}
-            expect = [eval_numeric(c, binding, ALPHA)
-                      for c in (g.field.xi0, *g.field.xi, g.field.eta)]
+            expect = [eval_numeric(c, binding, ALPHA) for c in (f.xi0, *f.xi, f.eta)]
             for d, e in zip(deriv, expect):
                 assert abs(d - e) < 1e-6
 
-    @pytest.mark.parametrize("name", ["G2", "G4", "G5", "G6"])
-    def test_group_law(self, g1, name):
-        g = g1[name]
-        t1 = exponentiate_catalog(g, 0.07)
-        t2 = exponentiate_catalog(g, 0.05)
-        t12 = exponentiate_catalog(g, 0.12)
-        p = (0.3, (0.4,), 1.7)
+    @pytest.mark.parametrize("name", ["G2", "G4", "G5", "G6", "G13+G14", "G2+G3"])
+    def test_group_law(self, name):
+        f = FLOW_FIELDS[name]
+        t1 = exponentiate_catalog(f, 0.07, alpha_value=ALPHA)
+        t2 = exponentiate_catalog(f, 0.05, alpha_value=ALPHA)
+        t12 = exponentiate_catalog(f, 0.12, alpha_value=ALPHA)
+        p = (0.3, (0.4, -0.2)[:f.n], 1.7)
         a = t2.map_point(*t1.map_point(*p))
         b = t12.map_point(*p)
         assert abs(a[0] - b[0]) < 1e-9
-        assert abs(a[1][0] - b[1][0]) < 1e-9
+        assert all(abs(ya - yb) < 1e-9 for ya, yb in zip(a[1], b[1]))
         assert abs(a[2] - b[2]) < 1e-9
 
-    @pytest.mark.parametrize("name", FINITE_1_3)
+    @pytest.mark.parametrize("name", FLOW_FIELDS)
     def test_inverse_roundtrip(self, name):
         # the flow at -eps undoes the flow at eps, u included
-        g = FINITE_1_3[name]
-        there = exponentiate_catalog(g, 0.11, alpha_value=ALPHA)
-        back = exponentiate_catalog(g, -0.11, alpha_value=ALPHA)
-        p = (0.4, (0.6, -0.3, 0.2)[:g.field.n], 1.3)
+        f = FLOW_FIELDS[name]
+        there = exponentiate_catalog(f, 0.11, alpha_value=ALPHA)
+        back = exponentiate_catalog(f, -0.11, alpha_value=ALPHA)
+        p = (0.4, (0.6, -0.3, 0.2)[:f.n], 1.3)
         t0, x0, u0 = back.map_point(*there.map_point(*p))
         assert abs(t0 - p[0]) < 1e-12
         assert all(abs(a - b) < 1e-12 for a, b in zip(x0, p[1]))
@@ -262,13 +330,36 @@ class TestFlows:
             if g.klass != "infinite":
                 exponentiate_catalog(g, 0.1, alpha_value=ALPHA)
 
-    @pytest.mark.parametrize("name,eta", [("G5", "u"), ("G2", "u*x"), ("G1", "u")])
-    def test_flow_checks_the_field_not_the_label(self, g1, name, eta):
-        # the class label alone must not pick the flow of another field
-        g = g1[name]
-        bad = NamedGenerator(replace(g.field, eta=parse(eta)), g.klass)
+    @pytest.mark.parametrize("name", NO_FLOW)
+    def test_flow_checks_the_field_not_the_label(self, name):
+        # neither affine in (t, x) with eta = c*u nor the projective field
         with pytest.raises(UnsupportedFlowError):
-            exponentiate_catalog(bad, 0.1)
+            exponentiate_catalog(NO_FLOW[name], 0.1)
+
+    @pytest.mark.parametrize("regime", [INTEGER, FRACTIONAL])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_affine_flows_match_closed_forms(self, regime, n):
+        t, xs = verify_grid(n)
+        for g in generators(HeatEquation(n, regime)):
+            if g.klass in ("infinite", "projective"):
+                continue
+            oracle = closed_form_flow(g, ALPHA)
+            for eps in (0.2, -0.2, 0.05, -0.05):
+                got = exponentiate_catalog(g, eps, alpha_value=ALPHA).flow(eps, t, xs)
+                want = oracle(eps, t, xs)
+                for a, b in zip((got[0], *got[1], got[2]), (want[0], *want[1], want[2])):
+                    assert np.shape(a) == np.shape(b)
+                    assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(b))), (g.name, eps)
+
+    def test_alpha_dropped_dilation_is_the_mis_weighted_control(self):
+        # the flow of 2t d_t + x d_x is acceptance test 8's hand-written
+        # mis-weighted dilation (t e^{2s}, x e^{s}, 1)
+        t, xs = verify_grid(1)
+        for eps in (0.3, -0.3):
+            got = exponentiate_catalog(FLOW_FIELDS["2t*d_t+x*d_x"], eps).flow(eps, t, xs)
+            assert np.allclose(got[0], t * math.exp(2 * eps), rtol=1e-15, atol=0)
+            assert np.allclose(got[1][0], xs[0] * math.exp(eps), rtol=1e-15, atol=0)
+            assert got[2] == 1.0
 
     def test_identity_at_zero_parameter(self, g1):
         tr = exponentiate_catalog(g1["G5"], 0.0)
