@@ -206,81 +206,6 @@ def _cmd_brackets(cfg: RunConfig) -> tuple[str, list, bool]:
     return "\n\n".join(texts), objs, True
 
 
-def _usable_cpus() -> int:
-    import os
-
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _map_dimensions(fn, cfg: RunConfig) -> list:
-    """``[fn(n) for n in cfg.ns]``, with the dimensions split across the
-    usable CPUs.
-
-    The dimensions are dealt, longest first with ``count_formula(n) ** 2`` as
-    the cost, into min(#dimensions, usable CPUs) shares.  This process runs
-    the first share; each other share runs in a forked child that sends its
-    pickled results, or nothing, back over a pipe and always ends through
-    ``os._exit``.  A share whose pipe holds no complete result (the child
-    raised or was killed) runs again here: the shares are deterministic, so
-    an exception is raised here as itself.  Results come back in dimension
-    order, and every child is killed and reaped before this returns or raises.
-    """
-    import os
-    import pickle
-    import signal
-
-    nshares = min(len(cfg.ns), _usable_cpus()) if hasattr(os, "fork") else 1
-    if nshares <= 1:
-        return [fn(n) for n in cfg.ns]
-    shares: list[list[int]] = [[] for _ in range(nshares)]
-    loads = [0] * nshares
-    cost = {n: count_formula(n, cfg.regime) ** 2 for n in cfg.ns}
-    for n in sorted(cfg.ns, key=cost.get, reverse=True):
-        s = loads.index(min(loads))
-        shares[s].append(n)
-        loads[s] += cost[n]
-
-    results = {}
-    children = []  # (pid, read end of its pipe, its share)
-    try:
-        for share in shares[1:]:
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:
-                try:
-                    os.close(r)
-                    data = pickle.dumps([fn(n) for n in share])
-                    with open(w, "wb") as fh:
-                        fh.write(data)
-                finally:
-                    os._exit(0)
-            os.close(w)
-            children.append((pid, r, share))
-        for n in shares[0]:
-            results[n] = fn(n)
-        for pid, r, share in children:
-            with open(r, "rb", closefd=False) as fh:
-                data = fh.read()
-            try:
-                value = pickle.loads(data)
-            except (EOFError, pickle.UnpicklingError):
-                value = [fn(n) for n in share]
-            results.update(zip(share, value))
-    finally:
-        for pid, r, _ in children:
-            os.close(r)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    return [results[n] for n in cfg.ns]
-
-
 def _algebra_report(eq: HeatEquation) -> dict:
     gens = generators(eq)
     finite = [g.field for g in gens if g.klass != "infinite"]
@@ -307,7 +232,7 @@ def _algebra_report(eq: HeatEquation) -> dict:
 
 
 def _cmd_algebra(cfg: RunConfig) -> tuple[str, list, bool]:
-    objs = _map_dimensions(lambda n: _algebra_report(HeatEquation(n, cfg.regime)), cfg)
+    objs = [_algebra_report(HeatEquation(n, cfg.regime)) for n in cfg.ns]
     ok = all(o.get("so_match", True) and o.get("sl2_match", True) for o in objs)
     lines = []
     for o in objs:
@@ -347,24 +272,12 @@ def _cmd_conserve(cfg: RunConfig) -> tuple[str, list, bool]:
 _NOISE = ("x^2", "t*x", "x^3", "u^2")  # terms added to eta in the perturbed-field checks
 
 
-def _verify_draws(cfg: RunConfig) -> dict[int, tuple[list, list]]:
-    """The seeded draws of every dimension, taken up front in the order the
-    checks once took them one dimension at a time: per dimension, ascending,
+def _verify_dimension(cfg: RunConfig, n: int, rng: random.Random) -> tuple[list, list]:
+    """The checks and discrepancy entries of one dimension.
+
+    The seeded draws are taken first, as indices into the finite generators:
     the perturbed (i, j, noise) triples (integer regime only), then the
-    antisymmetry pairs, as indices into the finite generators."""
-    rng = random.Random(cfg.seed)
-    draws = {}
-    for n in cfg.ns:
-        finite = sum(1 for g in generators(HeatEquation(n, cfg.regime))
-                     if g.klass != "infinite")
-        perturbed = ([(*rng.sample(range(finite), 2), rng.choice(_NOISE)) for _ in range(3)]
-                     if cfg.regime == INTEGER else [])
-        draws[n] = (perturbed, [rng.sample(range(finite), 2) for _ in range(4)])
-    return draws
-
-
-def _verify_dimension(cfg: RunConfig, n: int, draws: tuple[list, list]) -> tuple[list, list]:
-    """The checks and discrepancy entries of one dimension."""
+    antisymmetry pairs."""
     checks = []
     discrepancies = []
 
@@ -374,7 +287,9 @@ def _verify_dimension(cfg: RunConfig, n: int, draws: tuple[list, list]) -> tuple
     eq = HeatEquation(n, cfg.regime)
     gens = generators(eq)
     finite = [g.field for g in gens if g.klass != "infinite"]
-    perturbed_draws, pair_draws = draws
+    perturbed_draws = ([(*rng.sample(range(len(finite)), 2), rng.choice(_NOISE))
+                        for _ in range(3)] if cfg.regime == INTEGER else [])
+    pair_draws = [rng.sample(range(len(finite)), 2) for _ in range(4)]
     add(f"count[n={n}]", len(gens) == count_formula(n, cfg.regime),
         {"generators": len(gens), "formula": count_formula(n, cfg.regime)})
 
@@ -423,7 +338,7 @@ def _verify_dimension(cfg: RunConfig, n: int, draws: tuple[list, list]) -> tuple
         add(f"conservation_divergences[n={n}]",
             all(d["divergence_zero"] for d in divergences), {"per_generator": divergences})
     else:
-        from .fracnum import invariance_check
+        from .fracnum import GridError, invariance_check
         from .prolong import UnsupportedFlowError, exponentiate_catalog
 
         if n <= 3:
@@ -437,7 +352,7 @@ def _verify_dimension(cfg: RunConfig, n: int, draws: tuple[list, list]) -> tuple
                     tr = exponentiate_catalog(g, 0.2, alpha_value=cfg.alpha)
                     rep = invariance_check(eq, sol, tr, cfg.alpha, T=_VERIFY_HORIZON,
                                            K=cfg.grid, spatial=spatial, tcut=cfg.tcut)
-                except (UnsupportedFlowError, ArithmeticError) as exc:
+                except (UnsupportedFlowError, GridError, ArithmeticError) as exc:
                     results.append({"name": g.name, "skipped": str(exc), "passed": False})
                     continue
                 results.append({"name": g.name, "ratio": round(rep.ratio, 3),
@@ -459,11 +374,11 @@ def _verify_dimension(cfg: RunConfig, n: int, draws: tuple[list, list]) -> tuple
 
 
 def _verify_report(cfg: RunConfig) -> dict:
-    draws = _verify_draws(cfg)
+    rng = random.Random(cfg.seed)
     checks = []
     discrepancies = []
-    for dim_checks, dim_discrepancies in _map_dimensions(
-            lambda n: _verify_dimension(cfg, n, draws[n]), cfg):
+    for n in cfg.ns:
+        dim_checks, dim_discrepancies = _verify_dimension(cfg, n, rng)
         checks += dim_checks
         discrepancies += dim_discrepancies
 

@@ -1,10 +1,7 @@
 """CLI contract: subcommands, formats, exit codes, determinism."""
 
 import json
-import os
 import random
-import signal
-import time
 from pathlib import Path
 
 import pytest
@@ -270,6 +267,32 @@ class TestVerify:
         assert {"name": "G02", "skipped": "G02: no closed-form flow",
                 "passed": False} in check["details"]["per_generator"]
 
+    def test_flow_leaving_the_window_is_reported_as_skipped(self, capsys, monkeypatch):
+        # the flow of x d_t moves t by s*x, so at x = -1.5 the preimage of an
+        # early grid time lies before t = 0, outside the sampled window
+        from liesym import parse
+        from liesym.fields import VectorField
+
+        original = cli.generators
+
+        def extended(eq):
+            gens = original(eq)
+            if eq.n == 1 and eq.is_fractional:
+                field = VectorField("Xt", 1, parse("x"), (parse("0"),), parse("0"))
+                gens = [*gens, NamedGenerator(field, "time-translation")]
+            return gens
+
+        monkeypatch.setattr(cli, "generators", extended)
+        code, out = run_cli(["verify", "--n", "1", "--regime", "fractional",
+                             "--grid", "64", "--format", "json"], capsys)
+        assert code == 1
+        check = next(c for c in json.loads(out)["checks"]
+                     if c["name"] == "numeric_invariance[n=1]")
+        assert check["passed"] is False
+        entry = next(r for r in check["details"]["per_generator"] if r["name"] == "Xt")
+        assert entry["passed"] is False
+        assert "leaves the sampled window" in entry["skipped"]
+
     def test_small_alpha_fails_numeric_invariance_without_traceback(self, capsys):
         # at alpha = 0.001 the Mittag-Leffler series of the sampled solution
         # does not converge in its term budget
@@ -455,49 +478,13 @@ class TestUsageErrors:
         capsys.readouterr()
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestDimensionSplit:
-    """A range's dimensions are split across forked children; nothing that
-    leaves the run may depend on the split."""
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        calls = []
-        real_fork = os.fork
-
-        def counting_fork():
-            calls.append(1)
-            return real_fork()
-
-        monkeypatch.setattr(os, "fork", counting_fork)
-        return calls
-
-    @pytest.mark.parametrize("argv", [
-        ["verify", "--n", "1..4", "--seed", "7"],
-        ["verify", "--n", "5..6", "--seed", "3"],
-        ["verify", "--n", "1..2", "--regime", "fractional", "--grid", "64"],
-        ["algebra", "--n", "1..4", "--regime", "integer"],
-        ["algebra", "--n", "1..4", "--regime", "fractional"],
-    ])
-    def test_split_payload_is_byte_identical_to_serial(self, capsys, monkeypatch, forks,
-                                                       argv):
-        outputs = {}
-        for cpus in (1, 2):
-            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-            forks.clear()
-            code, outputs[cpus] = run_cli([*argv, "--format", "json"], capsys)
-            assert code == 0
-            assert len(forks) == cpus - 1
-        assert outputs[1] == outputs[2]
-        assert_no_child_left()
+    """A range runs its dimensions one after another in this process, each
+    drawing from one seeded generator in dimension order."""
 
     @pytest.mark.parametrize("regime", [INTEGER, FRACTIONAL])
     @pytest.mark.parametrize("seed", [0, 7, 123])
-    def test_upfront_draws_equal_interleaved_draws(self, seed, regime):
+    def test_upfront_draws_equal_interleaved_draws(self, monkeypatch, capsys, seed, regime):
         ns = range(1, 9)
         finite = {n: [g.field.name for g in generators(HeatEquation(n, regime))
                       if g.klass != "infinite"] for n in ns}
@@ -512,81 +499,47 @@ class TestDimensionSplit:
                     perturbed.append((a, b, rng.choice(["x^2", "t*x", "x^3", "u^2"])))
             expected[n] = (perturbed, [tuple(rng.sample(finite[n], 2)) for _ in range(4)])
 
-        draws = cli._verify_draws(RunConfig(ns=tuple(ns), regime=regime, seed=seed))
-        got = {n: ([(finite[n][i], finite[n][j], noise) for i, j, noise in perturbed],
-                   [(finite[n][i], finite[n][j]) for i, j in pairs])
-               for n, (perturbed, pairs) in draws.items()}
-        assert list(got) == list(ns)
+        drawn = []
+
+        class Recording(random.Random):
+            def sample(self, population, k):
+                drawn.append(super().sample(population, k))
+                return drawn[-1]
+
+            def choice(self, seq):
+                drawn.append(super().choice(seq))
+                return drawn[-1]
+
+        monkeypatch.setattr(cli.random, "Random", Recording)
+        grid = ["--grid", "64"] if regime == FRACTIONAL else []
+        main(["verify", "--n", "1..8", "--regime", regime, "--seed", str(seed), *grid])
+        capsys.readouterr()
+        draws = iter(drawn)
+        got = {}
+        for n in ns:
+            perturbed = []
+            if regime == INTEGER:
+                for _ in range(3):
+                    (i, j), noise = next(draws), next(draws)
+                    perturbed.append((finite[n][i], finite[n][j], noise))
+            got[n] = (perturbed, [tuple(finite[n][k] for k in next(draws))
+                                  for _ in range(4)])
+        assert next(draws, None) is None
         assert got == expected
 
-    # in --n 1..2, n = 2 costs more and is this process's share; n = 1 is the child's
-    @pytest.mark.parametrize("share", ["parent", "child"])
-    def test_memory_error_in_a_share_exits_two(self, capsys, monkeypatch, share):
-        def exhausted(cfg, n, draws):
-            if n == {"parent": 2, "child": 1}[share]:
+    def test_memory_error_in_a_dimension_exits_two(self, capsys, monkeypatch):
+        def exhausted(cfg, n, rng):
+            if n == 2:
                 raise MemoryError("Unable to allocate an array with shape (100000000000,) "
                                   "and data type float64")
             return [], []
 
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(cli, "_verify_dimension", exhausted)
         assert main(["verify", "--n", "1..2"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("error: out of memory: Unable to allocate an array with "
                                 "shape (100000000000,) and data type float64\n")
-        assert_no_child_left()
-
-    def test_child_exception_is_raised_again_with_its_traceback(self, monkeypatch):
-        def failing(cfg, n, draws):
-            if n == 1:
-                raise KeyError(f"no catalog for n={n}")
-            return [], []
-
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(cli, "_verify_dimension", failing)
-        with pytest.raises(KeyError, match="no catalog for n=1") as info:
-            main(["verify", "--n", "1..2"])
-        assert info.traceback[-1].name == "failing"
-        assert_no_child_left()
-
-    def test_killed_child_share_runs_again_here(self, capsys, monkeypatch, forks):
-        parent = os.getpid()
-        real = cli._verify_dimension
-
-        def killed_in_child(cfg, n, draws):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return real(cfg, n, draws)
-
-        argv = ["verify", "--n", "1..2", "--format", "json"]
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-        code, serial = run_cli(argv, capsys)
-        assert code == 0
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(cli, "_verify_dimension", killed_in_child)
-        forks.clear()
-        code, split = run_cli(argv, capsys)
-        assert code == 0
-        assert len(forks) == 1
-        assert split == serial
-        assert_no_child_left()
-
-    def test_parent_failure_kills_running_children(self, monkeypatch):
-        parent = os.getpid()
-
-        def parent_fails(cfg, n, draws):
-            if os.getpid() != parent:
-                time.sleep(60)
-            raise RuntimeError("parent share failed")
-
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(cli, "_verify_dimension", parent_fails)
-        t0 = time.monotonic()
-        with pytest.raises(RuntimeError, match="parent share failed"):
-            main(["verify", "--n", "1..2"])
-        assert time.monotonic() - t0 < 30
-        assert_no_child_left()
 
 
 def test_runconfig_validation():
