@@ -527,9 +527,12 @@ class TestDimensionSplit:
         assert next(draws, None) is None
         assert got == expected
 
-    def test_memory_error_in_a_dimension_exits_two(self, capsys, monkeypatch):
+    # the case names keep the dimension each share of --n 1..2 ran when the range
+    # was split across processes: n = 2 (parent), the last, and n = 1 (child), the first
+    @pytest.mark.parametrize("share", ["parent", "child"])
+    def test_memory_error_in_a_share_exits_two(self, capsys, monkeypatch, share):
         def exhausted(cfg, n, rng):
-            if n == 2:
+            if n == {"parent": 2, "child": 1}[share]:
                 raise MemoryError("Unable to allocate an array with shape (100000000000,) "
                                   "and data type float64")
             return [], []
