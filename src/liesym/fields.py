@@ -4,8 +4,9 @@ Vector fields are stored by their coefficients (xi0, xi_1..xi_n, eta) as
 exact expressions in (t, x_i, u); brackets, commutator tables, basis
 decompositions, derived series, and canonical structure-constant matching
 (so(n), sl(2,R)) are all computed exactly.  Every polynomial in alpha is an
-Expr: decompositions solve over Q in coordinates read from its terms, and the
-derived series ranks structure constants over Q(alpha) on Expr entries.
+Expr, and one exact elimination (_echelon) serves both kinds of solve:
+decompositions over Q in alpha-power coordinates read from its terms, and the
+derived series' ranks of structure constants over Q(alpha) on Expr entries.
 """
 
 from __future__ import annotations
@@ -170,7 +171,7 @@ def lie_bracket(A: VectorField, B: VectorField) -> VectorField:
 
 
 # ---------------------------------------------------------------------------
-# basis decompositions (coefficients are polynomials in alpha)
+# exact elimination and basis decompositions (polynomials in alpha)
 # ---------------------------------------------------------------------------
 
 _ALPHA = ("a",)
@@ -191,55 +192,62 @@ def _coordinates(components: Sequence[Expr], shift: int = 0) -> dict[tuple, Rat]
     return out
 
 
-def _axpy(dst: dict, scale: Fraction, src: dict) -> None:
-    """dst += scale * src for sparse vectors, dropping entries that cancel."""
-    for key, v in src.items():
-        w = dst.get(key, 0) + scale * v
-        if w:
-            dst[key] = w
-        else:
-            dst.pop(key, None)
+def _eliminate(row: dict[int, Expr], prow: dict[int, Expr], col: int) -> dict[int, Expr]:
+    """pv*row - f*prow, with pv and f the entries of prow and row at col: row
+    with its entry at col eliminated fraction-free by the pivot row prow."""
+    zero = Expr.zero()
+    pv, f = prow[col], -row[col]
+    sums = {k: sum_of_products(((pv, row.get(k, zero)), (f, prow.get(k, zero))))
+            for k in row.keys() | prow.keys()}
+    return {k: e for k, e in sums.items() if e}
+
+
+def _echelon(rows) -> dict[int, dict[int, Expr]]:
+    """Echelon basis over Q(alpha) of sparse rows {column: Expr}, as {pivot:
+    row} with each row's pivot its lowest column; the rank is its length.  A
+    constant pivot is scaled to 1 and any other is eliminated fraction-free
+    (_eliminate), so entries stay polynomials in alpha and the normal form
+    decides which are zero."""
+    pivots: dict[int, dict[int, Expr]] = {}
+    for row in rows:
+        while row:
+            col = min(row)
+            prow = pivots.get(col)
+            if prow is None:
+                if row[col].is_constant():
+                    inv = Expr.number(1 / row[col].as_fraction())
+                    row = {k: Expr.one() if k == col else inv * e for k, e in row.items()}
+                pivots[col] = row
+                break
+            row = _eliminate(row, prow, col)
+    return pivots
 
 
 @lru_cache(maxsize=64)
-def _reduced_basis(basis: tuple[VectorField, ...], f_degree: int) -> tuple[int, dict]:
-    """Reduced echelon form of the vectors alpha^d * basis_k, d = 0..dmax,
+def _reduced_basis(basis: tuple[VectorField, ...], f_degree: int) -> tuple[int, dict, dict]:
+    """Echelon form (_echelon) of the vectors alpha^d * basis_k, d = 0..dmax,
     where dmax = f_degree + (top alpha power of the basis) + 1 is a generous
     cap on the degree of the coefficients of a field of alpha degree f_degree.
 
-    Unknown k*(dmax+1)+d multiplies alpha^d * basis_k.  Vectors are inserted
-    in that order, so a pivot is created exactly for each vector independent
-    of the ones before it: the pivot columns Gauss-Jordan elimination picks.
-    Returns dmax and {pivot coordinate: (vector, combination)} where each
-    vector is 1 at its own pivot and 0 at every other pivot, and its
-    combination over the unknowns reproduces it.  Dependent vectors get no
-    pivot, so their unknowns stay zero in every decomposition.  The cached
-    result is shared by every caller and must not be modified."""
+    The coordinates of the vectors are numbered in order of first appearance,
+    giving columns 0..m-1, and vector u = k*(dmax+1)+d carries a unit entry in
+    its own column m+u, so each row records its combination of the vectors.
+    Every entry is rational, so every pivot is 1.  A vector independent of the
+    ones before it gets a pivot below m; a dependent one's dependency is kept
+    as a pivot row at or past m.  Returns dmax, {coordinate: column} and
+    {pivot: row}; the cached result is shared and must not be modified."""
     comps = [b.components() for b in basis]
     top = max((key[2] for bc in comps for key in _coordinates(bc)), default=0)
     dmax = f_degree + top + 1
-    pivots: dict[tuple, tuple[dict, dict]] = {}
-    for k, bc in enumerate(comps):
-        for d in range(dmax + 1):
-            vec = _coordinates(bc, d)
-            combo = {k * (dmax + 1) + d: Fraction(1)}
-            for coord in [c for c in vec if c in pivots]:
-                scale = vec[coord]
-                _axpy(vec, -scale, pivots[coord][0])
-                _axpy(combo, -scale, pivots[coord][1])
-            if not vec:
-                continue
-            coord = next(iter(vec))
-            inv = Fraction(1) / vec[coord]  # exact for int entries too
-            vec = {key: v * inv for key, v in vec.items()}
-            combo = {key: v * inv for key, v in combo.items()}
-            for other_vec, other_combo in pivots.values():
-                scale = other_vec.get(coord)
-                if scale:
-                    _axpy(other_vec, -scale, vec)
-                    _axpy(other_combo, -scale, combo)
-            pivots[coord] = (vec, combo)
-    return dmax, pivots
+    vecs = [_coordinates(bc, d) for bc in comps for d in range(dmax + 1)]
+    columns: dict[tuple, int] = {}
+    for vec in vecs:
+        for coord in vec:
+            columns.setdefault(coord, len(columns))
+    m = len(columns)
+    rows = ({**{columns[coord]: Expr.number(c) for coord, c in vec.items()}, m + u: Expr.one()}
+            for u, vec in enumerate(vecs))
+    return dmax, columns, _echelon(rows)
 
 
 @dataclass(frozen=True, slots=True)
@@ -281,24 +289,28 @@ def decompose_in_basis(f: VectorField, basis: Sequence[VectorField]) -> Decompos
             raise DimensionMismatchError("basis dimension mismatch")
 
     basis = tuple(basis)
-    residual = _coordinates(f.components())
-    dmax, pivots = _reduced_basis(basis, max((key[2] for key in residual), default=0))
-    solution: dict[int, Fraction] = {}
-    for coord in [c for c in residual if c in pivots]:
-        scale = residual[coord]
-        vec, combo = pivots[coord]
-        _axpy(residual, -scale, vec)
-        _axpy(solution, scale, combo)
-    if residual:
+    coords = _coordinates(f.components())
+    dmax, columns, pivots = _reduced_basis(basis, max((key[2] for key in coords), default=0))
+    if any(coord not in columns for coord in coords):
         return Decomposition("outside")
+    # reduce f's row through the independent vectors' pivots only: past m, a
+    # pivot row is a dependency, which would move coefficients onto later,
+    # dependent vectors
+    m = len(columns)
+    row = {columns[coord]: Expr.number(c) for coord, c in coords.items()}
+    while (col := min(row)) < m:
+        if col not in pivots:
+            return Decomposition("outside")
+        row = _eliminate(row, pivots[col], col)
+    # the unknown columns now hold minus the combination
     lambdas: dict[int, Expr] = {}
-    for unknown, c in sorted(solution.items()):
-        k, d = divmod(unknown, dmax + 1)
-        lambdas[k] = lambdas.get(k, Expr.zero()) + Expr.number(c) * alpha() ** d
+    for col in sorted(row):
+        k, d = divmod(col - m, dmax + 1)
+        lambdas[k] = lambdas.get(k, Expr.zero()) - row[col] * alpha() ** d
     # independent verification, componentwise: f - sum_k lambda_k b_k == 0
     terms = [(-lam, basis[k].components()) for k, lam in lambdas.items()]
     for comp, fc in enumerate(f.components()):
-        acc = sum_of_products([(Expr.one(), fc)] + [(m, bc[comp]) for m, bc in terms])
+        acc = sum_of_products([(Expr.one(), fc)] + [(lam, bc[comp]) for lam, bc in terms])
         if not equals_zero(acc):
             return Decomposition("outside")
     return Decomposition("coeffs", {basis[k].name: lam for k, lam in lambdas.items()})
@@ -451,31 +463,6 @@ def closure_report(basis: Sequence[VectorField]) -> ClosureReport:
 # ---------------------------------------------------------------------------
 # derived series (rank computations over the rational-function field in alpha)
 # ---------------------------------------------------------------------------
-
-def _echelon(rows) -> dict[int, dict[int, Expr]]:
-    """Echelon basis over Q(alpha) of sparse rows {column: Expr}, as {pivot:
-    row} with each row's pivot its lowest column; the rank is its length.  A
-    constant pivot is scaled to 1 and any other is eliminated fraction-free
-    (pv*row - f*pivot row), so entries stay polynomials in alpha and the
-    normal form decides which are zero."""
-    pivots: dict[int, dict[int, Expr]] = {}
-    zero = Expr.zero()
-    for row in rows:
-        while row:
-            col = min(row)
-            prow = pivots.get(col)
-            if prow is None:
-                if row[col].is_constant():
-                    inv = Expr.number(1 / row[col].as_fraction())
-                    row = {k: Expr.one() if k == col else inv * e for k, e in row.items()}
-                pivots[col] = row
-                break
-            pv, f = prow[col], -row[col]
-            sums = {k: sum_of_products(((pv, row.get(k, zero)), (f, prow.get(k, zero))))
-                    for k in row.keys() | prow.keys()}
-            row = {k: e for k, e in sums.items() if e}
-    return pivots
-
 
 def _level_brackets(rows: list[dict[int, Expr]], c: dict) -> Iterator[dict[int, Expr]]:
     """[u, w] = sum_{i,j} u_i w_j c[i, j] for every pair of rows."""

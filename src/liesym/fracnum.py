@@ -274,14 +274,6 @@ def _lgamma_signed(x: float) -> tuple[float, float]:
     return lg, sign
 
 
-def gamma_reciprocal(x: float) -> float:
-    """1/Gamma(x); exactly 0 at the poles (nonpositive integers)."""
-    if x <= 0.0 and x == math.floor(x):
-        return 0.0
-    lg, sign = _lgamma_signed(x)
-    return sign * math.exp(-lg)
-
-
 # ---------------------------------------------------------------------------
 # residuals and invariance
 # ---------------------------------------------------------------------------

@@ -145,10 +145,6 @@ class PointTransformation:
     eps: float
     flow: Callable
 
-    def map_point(self, t: float, xs: Sequence[float], u: float):
-        tt, yy, m = self.flow(self.eps, t, tuple(xs))
-        return tt, yy, u * m
-
     def coord_inverse(self, t: float, xs: Sequence[float]):
         t0, x0, _ = self.flow(-self.eps, t, tuple(xs))
         return t0, x0

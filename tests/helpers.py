@@ -1,5 +1,6 @@
 """Shared numeric helpers for tests: high-order stencil residuals of the
-integer heat equation for analytic solution callables."""
+integer heat equation for analytic solution callables, and the image of a
+point under a finite transformation."""
 
 
 def heat_residual_stencil(f, t, xs, h=1e-2):
@@ -21,3 +22,10 @@ def heat_residual_stencil(f, t, xs, h=1e-2):
         lap += (-shift(2 * h) + 16 * shift(h) - 30 * at(t, xs)
                 + 16 * shift(-h) - shift(-2 * h)) / (12 * h * h)
     return ut - lap
+
+
+def map_point(tr, t, xs, u):
+    """(t~, xs~, u~): the image of the point (t, xs, u) under the
+    PointTransformation tr, its flow at tr.eps."""
+    tt, yy, m = tr.flow(tr.eps, t, tuple(xs))
+    return tt, yy, u * m

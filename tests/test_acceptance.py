@@ -35,7 +35,6 @@ from liesym.conservation import (
 from liesym.fields import VectorField, commutator_table, lie_bracket, match_canonical, vf_add
 from liesym.fracnum import (
     GridFunction,
-    gamma_reciprocal,
     invariance_check,
     mittag_leffler,
     right_rl_derivative_grid,
@@ -45,6 +44,8 @@ from liesym.prolong import PointTransformation, determining_residual, exponentia
 from liesym.reference_tables import ALLOWED_BRACKET_DISCREPANCIES
 
 import numpy as np
+
+from .test_fracnum import gamma_reciprocal
 
 
 def _report(num, name, ok, detail=""):

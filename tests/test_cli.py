@@ -40,6 +40,11 @@ GOLDEN_ALGEBRA = {r: Path(__file__).parent / "data" / f"algebra_{r}_n1-5.json"
 # the derived series still ranked every spanning bracket vector of a level
 GOLDEN_ALGEBRA_7_8 = {r: Path(__file__).parent / "data" / f"algebra_{r}_n7-8.json"
                       for r in ("integer", "fractional")}
+# output of `algebra --n 12 --regime <regime> --format json`, frozen while
+# basis decompositions still ran their own elimination over Q; its bases hold
+# 94 integer and 80 fractional fields
+GOLDEN_ALGEBRA_12 = {r: Path(__file__).parent / "data" / f"algebra_{r}_n12.json"
+                     for r in ("integer", "fractional")}
 
 
 def run_cli(args, capsys):
@@ -164,6 +169,13 @@ class TestAlgebra:
                              "--format", "json"], capsys)
         assert code == 0
         assert out.encode() == GOLDEN_ALGEBRA_7_8[regime].read_bytes()
+
+    @pytest.mark.parametrize("regime", sorted(GOLDEN_ALGEBRA_12))
+    def test_json_n12_matches_golden(self, regime, capsys):
+        code, out = run_cli(["algebra", "--n", "12", "--regime", regime,
+                             "--format", "json"], capsys)
+        assert code == 0
+        assert out.encode() == GOLDEN_ALGEBRA_12[regime].read_bytes()
 
 
 class TestConserve:

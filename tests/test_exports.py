@@ -1,9 +1,10 @@
-"""Every name a liesym module lists in ``__all__`` must exist in it and have
-a caller outside the tests."""
+"""Every name a liesym module lists in ``__all__`` must exist in it, and every
+public name it defines must have a caller outside the tests."""
 
 import ast
 import functools
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -51,12 +52,30 @@ def _identifiers() -> frozenset:
     return frozenset(found)
 
 
+def _public_names(module) -> set[str]:
+    """The names in the module's __all__, every non-underscore function or
+    class defined in it, and every public method of such a class, as
+    Class.method."""
+    names = set(getattr(module, "__all__", ()))
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            names.add(name)
+        elif inspect.isclass(obj):
+            names.add(name)
+            names.update(f"{name}.{m}" for m, v in vars(obj).items() if not m.startswith("_")
+                         and (inspect.isfunction(v) or isinstance(v, (staticmethod, classmethod))))
+    return names
+
+
 @pytest.mark.parametrize("module_name", MODULES)
 def test_public_names_have_a_caller_outside_tests(module_name):
     module = importlib.import_module(module_name)
     identifiers = _identifiers()
-    unused = [
-        name for name in getattr(module, "__all__", ())
-        if name not in identifiers and f"{module_name}.{name}" not in TEST_ONLY_NAMES
-    ]
+    unused = sorted(
+        name for name in _public_names(module)
+        if name.rpartition(".")[2] not in identifiers
+        and f"{module_name}.{name}" not in TEST_ONLY_NAMES
+    )
     assert unused == []

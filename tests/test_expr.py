@@ -477,8 +477,8 @@ def test_decomposition_ignores_construction_order():
         fields._reduced_basis.cache_clear()  # the cache is keyed on equal fields
         basis = [field(name, comps, reverse) for name, comps in (("B1", b1), ("B2", b2), ("B3", b3))]
         dec = decompose_in_basis(field("f", f, reverse), basis)
-        _, pivots = fields._reduced_basis(tuple(basis), 1)
-        results.append(({k: str(v) for k, v in dec.coeffs.items()}, list(pivots)))
+        _, columns, pivots = fields._reduced_basis(tuple(basis), 1)
+        results.append(({k: str(v) for k, v in dec.coeffs.items()}, list(columns), list(pivots)))
     assert results[0] == results[1]
     assert results[0][0] == {"B1": "3", "B2": "1"}
 
