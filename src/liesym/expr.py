@@ -6,8 +6,9 @@ coordinates of u (u, u_t, u_{xy}, ...), opaque function symbols (phi, F) with
 derivative subscripts generated on demand, fractional time-derivative markers
 on jets of u, and the order parameter alpha.  Every constructor returns the
 unique normal form, an unordered map {monomial: nonzero coefficient} of
-expanded, collected monomials whose atoms are totally ordered, so structural
-equality is semantic equality and ``equals_zero`` is a decision procedure.
+expanded, collected monomials whose atoms are totally ordered and carry
+positive integer exponents, so structural equality is semantic equality and
+``equals_zero`` is a decision procedure.
 Exact arithmetic reads the map, since rational sums do not depend on order;
 ``Expr.terms`` sorts the terms once, on first read, for the readers whose
 output depends on order (printing, float sums, pivot order).
@@ -187,7 +188,7 @@ def atom_name(atom: tuple) -> str:
     return "alpha"
 
 
-# sorted ((atom, exponent), ...); exponents are nonzero ints
+# sorted ((atom, exponent), ...); exponents are positive ints
 Monomial = tuple
 
 
@@ -203,8 +204,7 @@ def _term_key(term: tuple) -> tuple:
 
 def _insert_power(out: list, atom: tuple, e: int) -> None:
     """Multiply the sorted pair list out by atom**e in place: the position is
-    found by bisection over _atom_key and merged with a power already there,
-    which drops out when the exponents cancel."""
+    found by bisection over _atom_key and merged with a power already there."""
     key, lo, hi = _atom_key(atom), 0, len(out)
     while lo < hi:
         mid = (lo + hi) // 2
@@ -213,11 +213,7 @@ def _insert_power(out: list, atom: tuple, e: int) -> None:
         else:
             hi = mid
     if lo < len(out) and out[lo][0] == atom:
-        e += out[lo][1]
-        if e:
-            out[lo] = (atom, e)
-        else:
-            del out[lo]
+        out[lo] = (atom, e + out[lo][1])
     else:
         out.insert(lo, (atom, e))
 
@@ -364,35 +360,24 @@ class Expr:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             raise TypeError("exponents must be integers")
+        if k < 0:
+            raise ExprError("exponents must be non-negative")
         if k == 0:
             return _ONE
-        if k < 0:
-            return _ONE / (self ** (-k))
         out = self
         for _ in range(k - 1):
             out = out * self
         return out
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            return self * Expr.number(Fraction(1, 1) / Fraction(other))
-        if isinstance(other, Expr):
-            if other.is_zero:
-                raise ZeroDivisionError("division by zero expression")
-            if len(other._map) != 1:
-                raise ExprError("division only by monomials or rationals")
-            ((mono, c),) = other._map.items()
-            inv = tuple((atom, -e) for atom, e in mono)
-            return self * Expr({inv: Fraction(1) / c})
-        return NotImplemented
-
-    def __rtruediv__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other / self
+        if not other.is_constant():
+            raise ExprError("division only by rationals")
+        if other.is_zero:
+            raise ZeroDivisionError("division by zero")
+        return self * Expr.number(1 / other.as_fraction())
 
     # -- comparison / hashing / printing ------------------------------------
 
@@ -519,11 +504,6 @@ def _resolve_atom(sym) -> tuple:
     """Accept an atom tuple or a brace-free/printed atom name."""
     if isinstance(sym, tuple):
         return sym
-    if isinstance(sym, Expr):
-        atoms = sym.atoms()
-        if len(atoms) == 1 and len(sym.terms) == 1 and sym.terms[0][1] == 1:
-            return next(iter(atoms))
-        raise ExprError(f"not a single atom: {sym}")
     name = str(sym).strip()
     if name == "alpha":
         return ("a",)
@@ -701,9 +681,6 @@ class _CompiledRules:
                 if rep is None:
                     plain.append((atom, k))
                     continue
-                if k < 0:
-                    raise SubstitutionError(
-                        f"cannot substitute into negative power of {atom_name(atom)}")
                 factor = rep ** k if factor is None else factor * rep ** k
             if factor is None:
                 prev = acc.get(mono)

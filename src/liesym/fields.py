@@ -510,7 +510,6 @@ def derived_series(basis: Sequence[VectorField]) -> list[int]:
 @dataclass(frozen=True)
 class CanonicalMatchReport:
     matched: bool
-    pattern: str
     scaling: tuple[Fraction, ...] = ()
     message: str = ""
     modulo_components: tuple = ()
@@ -586,18 +585,16 @@ def match_canonical(
     names, modulo = tuple(names), tuple(modulo)
     if pattern == "sl2":
         if len(names) != 3:
-            return CanonicalMatchReport(False, pattern, message="sl2 requires three elements")
+            return CanonicalMatchReport(False, message="sl2 requires three elements")
         target = _SL2_TARGET
     elif pattern == "so":
         idents = [identify_rotation(table.basis[table._index[name]]) for name in names]
         if any(r is None for r in idents):
             bad = [names[k] for k, r in enumerate(idents) if r is None]
-            return CanonicalMatchReport(
-                False, pattern, message=f"not rotation generators: {', '.join(bad)}"
-            )
+            return CanonicalMatchReport(False, message=f"not rotation generators: {', '.join(bad)}")
         pairs = [(p, q) for p, q, _s in idents]
         if len(set(pairs)) != len(pairs):
-            return CanonicalMatchReport(False, pattern, message="duplicate rotation planes")
+            return CanonicalMatchReport(False, message="duplicate rotation planes")
         target = {
             k: {kk: Fraction(v) for kk, v in vv.items()}
             for k, vv in _so_constants(pairs).items()
@@ -614,7 +611,7 @@ def match_canonical(
             pair = f"[{names[i]},{names[j]}]"
             dec = table.bracket(names[i], names[j])
             if not dec.in_span or not spanned.issuperset(dec.coeffs):
-                return CanonicalMatchReport(False, pattern, message=f"{pair} outside span")
+                return CanonicalMatchReport(False, message=f"{pair} outside span")
             row: dict[int, Fraction] = {}
             for k, name in enumerate(names):
                 c = dec.coeffs.get(name)
@@ -624,8 +621,7 @@ def match_canonical(
                     row[k] = c.as_fraction()
                 except ExprError:
                     return CanonicalMatchReport(
-                        False, pattern, message=f"alpha-dependent constant in {pair}"
-                    )
+                        False, message=f"alpha-dependent constant in {pair}")
             measured[(i, j)] = row
             for name in modulo:
                 c = dec.coeffs.get(name)
@@ -643,8 +639,7 @@ def match_canonical(
     for i, j, k, mv, tv in equations:
         if (mv == 0) != (tv == 0):
             return CanonicalMatchReport(
-                False, pattern,
-                message=f"constant mismatch on [{names[i]},{names[j]}] -> {names[k]}",
+                False, message=f"constant mismatch on [{names[i]},{names[j]}] -> {names[k]}",
             )
 
     if pattern == "sl2":
@@ -656,11 +651,5 @@ def match_canonical(
         scale = [Fraction(s) for _p, _q, s in idents]
     for i, j, k, mv, tv in equations:
         if scale[i] * scale[j] * mv != tv * scale[k]:
-            return CanonicalMatchReport(
-                False, pattern, message="no rational rescaling matches the pattern"
-            )
-    return CanonicalMatchReport(
-        True, pattern,
-        scaling=tuple(scale),
-        modulo_components=tuple(modulo_parts),
-    )
+            return CanonicalMatchReport(False, message="no rational rescaling matches the pattern")
+    return CanonicalMatchReport(True, scaling=tuple(scale), modulo_components=tuple(modulo_parts))

@@ -285,24 +285,21 @@ class ResidualReport:
     K: int
 
 
-def _laplacian(vals: np.ndarray, steps: Sequence[float]) -> np.ndarray:
-    lap = np.zeros_like(vals)
+def _interior_laplacian(vals: np.ndarray, steps: Sequence[float]) -> np.ndarray:
+    """The central Laplacian of each row on the spatial interior only:
+    (hi - 2*mid + lo) / h^2, summed in axis order."""
+    mid = [slice(None)] + [slice(1, -1)] * len(steps)
+    lap = np.zeros_like(vals[tuple(mid)])
     for ax, h in enumerate(steps, start=1):
-        sl = [slice(None)] * vals.ndim
-        lo = [slice(None)] * vals.ndim
-        hi = [slice(None)] * vals.ndim
-        sl[ax] = slice(1, -1)
-        lo[ax] = slice(0, -2)
-        hi[ax] = slice(2, None)
-        # (hi - 2*mid + lo) / h^2 in one temporary, freed before the next axis
-        tmp = 2.0 * vals[tuple(sl)]
+        lo, hi = list(mid), list(mid)
+        lo[ax], hi[ax] = slice(0, -2), slice(2, None)
+        # one temporary, freed before the next axis allocates its own
+        tmp = 2.0 * vals[tuple(mid)]
         np.subtract(vals[tuple(hi)], tmp, out=tmp)
         tmp += vals[tuple(lo)]
         tmp /= h ** 2
-        lap[tuple(sl)] += tmp
+        lap += tmp
         del tmp
-        # boundary slices along this axis are not evaluated; callers restrict
-        # to the interior
     return lap
 
 
@@ -332,7 +329,7 @@ def residual_on_grid(
     for k0, block in _toeplitz_blocks(gl_weights(alpha, u.K), u.values, blocks):
         res = block.reshape((-1,) + u.values.shape[1:])
         res /= scale
-        res -= _laplacian(u.values[k0:k0 + len(res)], u.spatial_steps)
+        res[interior] -= _interior_laplacian(u.values[k0:k0 + len(res)], u.spatial_steps)
         np.abs(res, out=res)
         peak = max(peak, float(np.max(res[interior][max(kmin - k0, 0):])))
     return ResidualReport(interior_max=peak, tcut=kmin * u.dt, K=u.K)

@@ -3,12 +3,13 @@
 The printer in :mod:`liesym.expr` emits exactly this grammar, so
 ``parse(str(e)) == e`` for every expression.
 
-    expr     := term (('+' | '-') term)*
-    term     := unary (('*' | '/') unary)*
-    unary    := '-' unary | power
-    power    := atom ('^' exponent)?
-    exponent := ['-'] INTEGER | '(' ['-'] INTEGER ')'
-    atom     := INTEGER | coordinate | '(' expr ')'
+    expr  := term (('+' | '-') term)*
+    term  := unary (('*' | '/') unary)*
+    unary := '-' unary | power
+    power := atom ('^' INTEGER)?
+    atom  := INTEGER | coordinate | '(' expr ')'
+
+Exponents are non-negative integers, and a divisor must be a nonzero rational.
 
 Coordinates: the variables t x y z w x5 x6 ... (x1..x4 alias x y z w), the
 dependent variable u, alpha, the function symbols phi and F, and derivative
@@ -22,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Mapping
 
-from .expr import Expr, ParseError, UnknownSymbolError, _resolve_atom
+from .expr import Expr, ExprError, ParseError, UnknownSymbolError, _resolve_atom
 
 __all__ = ["parse"]
 
@@ -132,10 +133,11 @@ class _Parser:
                 e = e * self.unary()
             elif kind == "/":
                 tok = self.lex.next()
+                divisor = self.unary()
                 try:
-                    e = e / self.unary()
-                except ZeroDivisionError:
-                    raise ParseError("division by zero", tok[2]) from None
+                    e = e / divisor
+                except (ZeroDivisionError, ExprError) as err:
+                    raise ParseError(str(err), tok[2]) from None
             else:
                 return e
 
@@ -149,22 +151,8 @@ class _Parser:
         base = self.atom()
         if self.lex.peek()[0] == "^":
             self.lex.next()
-            return base ** self.exponent()
+            return base ** int(self.lex.expect("num")[1])
         return base
-
-    def exponent(self) -> int:
-        sign = 1
-        tok = self.lex.peek()
-        if tok[0] == "(":
-            self.lex.next()
-            k = self.exponent()
-            self.lex.expect(")")
-            return k
-        if tok[0] == "-":
-            self.lex.next()
-            sign = -1
-        num = self.lex.expect("num")
-        return sign * int(num[1])
 
     def atom(self) -> Expr:
         tok = self.lex.next()

@@ -14,7 +14,6 @@ from liesym.fracnum import (
     _causal_convolve,
     _gauss01,
     _gl_integral_weights,
-    _laplacian,
     _legendre_pair,
     _lgamma_signed,
     gl_weights,
@@ -398,7 +397,20 @@ def _full_grid_residual(eq, u, alpha, tcut=None):
     """The whole-grid formula that the block-streamed residual replaced: the
     GL derivative of every row and the Laplacian of the whole grid, as two
     grid-sized arrays."""
-    lap = _laplacian(u.values, u.spatial_steps)
+    vals = u.values
+    lap = np.zeros_like(vals)
+    for ax, h in enumerate(u.spatial_steps, start=1):
+        sl = [slice(None)] * vals.ndim
+        lo = [slice(None)] * vals.ndim
+        hi = [slice(None)] * vals.ndim
+        sl[ax] = slice(1, -1)
+        lo[ax] = slice(0, -2)
+        hi[ax] = slice(2, None)
+        tmp = 2.0 * vals[tuple(sl)]
+        np.subtract(vals[tuple(hi)], tmp, out=tmp)
+        tmp += vals[tuple(lo)]
+        tmp /= h ** 2
+        lap[tuple(sl)] += tmp
     res = rl_derivative_grid(u, alpha).values
     res -= lap
     np.abs(res, out=res)

@@ -16,7 +16,7 @@ from liesym.catalog import (
     exact_solutions,
     generators,
 )
-from liesym.expr import eval_numeric, jet, spatial_name, spatial_names, var
+from liesym.expr import eval_numeric, jet, partial_derivative, spatial_name, spatial_names, var
 from liesym.fields import VectorField, identify_rotation, vf_add
 from liesym.prolong import (
     RegimeError,
@@ -80,9 +80,8 @@ def closed_form_flow(g: NamedGenerator, alpha_value: float):
         return rotation
     if g.klass in ("dilation", "homogeneity"):
         # xi0 = a*t, xi_i = b_i*x_i, eta = c*u
-        a, *bs, c = (0.0 if coeff.is_zero else eval_numeric(coeff / v, {}, alpha_value)
-                     for coeff, v in zip((f.xi0, *f.xi, f.eta),
-                                         (var("t"), *map(var, spatial_names(n)), jet())))
+        a, *bs, c = (eval_numeric(partial_derivative(coeff, v), {}, alpha_value)
+                     for coeff, v in zip((f.xi0, *f.xi, f.eta), ("t", *spatial_names(n), "u")))
         return lambda s, t, xs: (t * math.exp(a * s),
                                  tuple(x * math.exp(b * s) for x, b in zip(xs, bs)),
                                  math.exp(c * s))
