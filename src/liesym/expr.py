@@ -6,14 +6,13 @@ coordinates of u (u, u_t, u_{xy}, ...), opaque function symbols (phi, F) with
 derivative subscripts generated on demand, fractional time-derivative markers
 on jets of u, and the order parameter alpha.  Every constructor returns the
 unique normal form, an unordered map {monomial: nonzero coefficient} of
-expanded, collected monomials whose atoms are totally ordered and carry
-positive integer exponents, so structural equality is semantic equality and
-``equals_zero`` is a decision procedure.
+expanded, collected monomials, so structural equality is semantic equality
+and ``equals_zero`` is a decision procedure.
 Exact arithmetic reads the map, since rational sums do not depend on order;
 ``Expr.terms`` sorts the terms once, on first read, for the readers whose
 output depends on order (printing, float sums, pivot order).
 
-Atoms are plain tuples:
+At the API (constructors, atoms(), terms, bindings, rules) atoms are tuples:
 
     ('v', name)          independent variable
     ('j', idx)           jet coordinate u_idx; idx is a sorted tuple of
@@ -23,12 +22,18 @@ Atoms are plain tuples:
                          (idx spatial only); printed Dalpha[...]
     ('a',)               alpha
 
+Inside the map each atom is packed into one int (_code), which orders like
+the atoms and decodes back through a memo (_atom), and a monomial is the
+sorted tuple of its codes with one entry per power: x^2*u_x is (c_x, c_x, c_ux).
+
 All operations are pure; expressions are immutable and hashable.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 import operator
 from collections import Counter
@@ -96,6 +101,8 @@ class EvaluationError(ExprError):
 
 
 _MAX_JET_ORDER = 4
+_MAX_EXPONENT = 1000   # the largest power of an expression (__pow__, the parser's '^')
+_RANK_BITS = 20        # bits per variable rank in an atom code (_code): x5..x1048575
 
 
 # ---------------------------------------------------------------------------
@@ -108,15 +115,18 @@ _NAMED_SPATIAL = {"x": 1, "y": 2, "z": 3, "w": 4}
 
 @functools.cache
 def canonical_var(name: str) -> str:
-    """Canonical variable name; x1..x4 are aliases of x, y, z, w.  Memoised
-    like _atom_key (an unknown name raises again on every call)."""
+    """Canonical variable name; x1..x4 are aliases of x, y, z, w, and x5,
+    x6, ... are written without leading zeros.  Memoised like _code (an
+    unknown name raises again on every call)."""
     name = _ALIAS.get(name, name)
     if name == "t" or name in _NAMED_SPATIAL:
         return name
-    if name.startswith("x") and name[1:].isdigit():
+    if name.startswith("x") and name[1:].isdecimal():
         k = int(name[1:])
+        if k > _RANK_MASK:
+            raise UnknownSymbolError(f"variable {name!r} is past x{_RANK_MASK}")
         if k >= 5:
-            return name
+            return f"x{k}"
     raise UnknownSymbolError(f"unknown variable {name!r}")
 
 
@@ -151,22 +161,48 @@ def _sorted_index(names: tuple[str, ...]) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 _KIND_RANK = {"v": 0, "j": 1, "f": 2, "D": 3, "a": 4}
+_KINDS = tuple(_KIND_RANK)
+_FNAMES = ("", *sorted(FUNCTION_SYMBOLS))   # "" (no function) < "F" < "phi"
+_RANK_MASK = (1 << _RANK_BITS) - 1
 
 
 @functools.cache
-def _atom_key(atom: tuple) -> tuple:
-    # memoised: the alphabet is finite (bounded by n and the jet-order cap)
+def _code(atom: tuple) -> int:
+    """One int packing, most significant first, the kind rank, the function
+    name, the index length and the index's variable ranks (_RANK_BITS each;
+    a variable is a one-entry index), so codes order like the atoms.  The one
+    place where an atom is checked and made canonical.  Memoised on the
+    finite alphabet (an error is raised again on every call)."""
     kind = atom[0]
-    rank = _KIND_RANK[kind]
+    if kind not in _KIND_RANK:
+        raise UnknownSymbolError(f"unknown atom {atom!r}")
+    if kind == "f" and atom[1] not in FUNCTION_SYMBOLS:
+        raise UnknownSymbolError(f"unknown function symbol {atom[1]!r}")
+    idx = () if kind == "a" else _sorted_index(atom[1:] if kind == "v" else atom[-1])
+    if kind == "D" and "t" in idx:
+        raise ExprError("fractional-derivative marker carries spatial subscripts only")
+    if len(idx) > _MAX_JET_ORDER:
+        raise JetOrderError(f"jet order of {atom_name(atom)} exceeds cap {_MAX_JET_ORDER}")
+    fname = _FNAMES.index(atom[1]) if kind == "f" else 0
+    code = (_KIND_RANK[kind] * len(_FNAMES) + fname) * (_MAX_JET_ORDER + 1) + len(idx)
+    for i in range(_MAX_JET_ORDER):
+        code = code << _RANK_BITS | (var_rank(idx[i]) if i < len(idx) else 0)
+    return code
+
+
+@functools.cache
+def _atom(code: int) -> tuple:
+    """The atom of a code (_code), memoised on the finite alphabet."""
+    head, length = divmod(code >> _RANK_BITS * _MAX_JET_ORDER, _MAX_JET_ORDER + 1)
+    kind, fname = divmod(head, len(_FNAMES))
+    kind = _KINDS[kind]
+    ranks = (code >> _RANK_BITS * (_MAX_JET_ORDER - 1 - i) & _RANK_MASK for i in range(length))
+    idx = tuple(spatial_name(r) if r else "t" for r in ranks)
     if kind == "v":
-        return (rank, "", (var_rank(atom[1]),))
-    if kind == "j":
-        return (rank, "", (len(atom[1]),) + tuple(var_rank(v) for v in atom[1]))
+        return ("v", idx[0])
     if kind == "f":
-        return (rank, atom[1], (len(atom[2]),) + tuple(var_rank(v) for v in atom[2]))
-    if kind == "D":
-        return (rank, "", (len(atom[1]),) + tuple(var_rank(v) for v in atom[1]))
-    return (rank, "", ())
+        return ("f", _FNAMES[fname], idx)
+    return ("a",) if kind == "a" else (kind, idx)
 
 
 def _index_str(idx: tuple[str, ...]) -> str:
@@ -188,64 +224,10 @@ def atom_name(atom: tuple) -> str:
     return "alpha"
 
 
-# sorted ((atom, exponent), ...); exponents are positive ints
-Monomial = tuple
-
-
-@functools.cache
-def _pair_key(pair: tuple) -> tuple:
-    # memoised per (atom, exponent): finite alphabet times the exponents in use
-    return (_atom_key(pair[0]), pair[1])
-
-
-def _term_key(term: tuple) -> tuple:
-    return tuple(map(_pair_key, term[0]))
-
-
-def _insert_power(out: list, atom: tuple, e: int) -> None:
-    """Multiply the sorted pair list out by atom**e in place: the position is
-    found by bisection over _atom_key and merged with a power already there."""
-    key, lo, hi = _atom_key(atom), 0, len(out)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _atom_key(out[mid][0]) < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    if lo < len(out) and out[lo][0] == atom:
-        out[lo] = (atom, e + out[lo][1])
-    else:
-        out.insert(lo, (atom, e))
-
-
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    """Product of two monomials: each atom of the shorter is merged into the
-    longer at its bisected position, so nothing is re-sorted."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    if len(m1) < len(m2):
-        m1, m2 = m2, m1
-    out = list(m1)
-    for atom, e in m2:
-        _insert_power(out, atom, e)
-    return tuple(out)
-
-
-def _replace_power(mono: Monomial, i: int, new: tuple) -> Monomial:
-    """mono with one power of its i-th atom taken out and, unless new is (),
-    one power of the atom new merged in (_insert_power): a derivative step
-    without a re-sort."""
-    atom, k = mono[i]
-    out = list(mono)
-    if k == 1:
-        del out[i]
-    else:
-        out[i] = (atom, k - 1)
-    if new:
-        _insert_power(out, new, 1)
-    return tuple(out)
+def _term_key(mono: tuple) -> tuple:
+    """The monomial as (code, exponent) pairs, which order like the printed
+    (atom, exponent) pairs: Expr.terms sorts by this key."""
+    return tuple([(code, len(tuple(run))) for code, run in itertools.groupby(mono)])
 
 
 class Expr:
@@ -288,15 +270,18 @@ class Expr:
 
     @staticmethod
     def from_atom(atom: tuple) -> "Expr":
-        return Expr({((atom, 1),): 1})
+        return Expr({(_code(atom),): 1})
 
     # -- structure ----------------------------------------------------------
 
     @property
     def terms(self) -> tuple:
-        """The (monomial, coefficient) pairs in _term_key order."""
+        """The (((atom, exponent), ...), coefficient) pairs in _term_key order."""
         if self._terms is None:
-            self._terms = tuple(sorted(self._map.items(), key=_term_key))
+            keyed = sorted(((_term_key(m), c) for m, c in self._map.items()),
+                           key=operator.itemgetter(0))
+            self._terms = tuple([(tuple([(_atom(a), k) for a, k in key]), c)
+                                 for key, c in keyed])
         return self._terms
 
     @property
@@ -304,7 +289,7 @@ class Expr:
         return not self._map
 
     def atoms(self) -> set:
-        return {atom for mono in self._map for atom, _e in mono}
+        return set(map(_atom, set().union(*self._map)))
 
     def as_fraction(self) -> Fraction:
         if self.is_constant():
@@ -325,9 +310,7 @@ class Expr:
         if other.is_zero:
             return self
         acc = dict(self._map)
-        for mono, c in other._map.items():
-            prev = acc.get(mono)
-            acc[mono] = c if prev is None else prev + c
+        _add_terms(acc, other._map.items())
         return Expr._from_map(acc)
 
     __radd__ = __add__
@@ -358,15 +341,18 @@ class Expr:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
+        """self**k by repeated squaring, for 0 <= k <= _MAX_EXPONENT."""
         if not isinstance(k, int):
             raise TypeError("exponents must be integers")
-        if k < 0:
-            raise ExprError("exponents must be non-negative")
-        if k == 0:
-            return _ONE
-        out = self
-        for _ in range(k - 1):
-            out = out * self
+        if not 0 <= k <= _MAX_EXPONENT:
+            raise ExprError(f"exponent {k} is not in 0..{_MAX_EXPONENT}")
+        out, base = _ONE, self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __truediv__(self, other):
@@ -414,7 +400,7 @@ class Expr:
         return f"Expr({str(self)!r})"
 
 
-def _render_term(mono: Monomial, c: Fraction) -> str:
+def _render_term(mono: tuple, c: Fraction) -> str:
     factors = []
     for atom, e in mono:
         name = atom_name(atom)
@@ -427,18 +413,30 @@ def _render_term(mono: Monomial, c: Fraction) -> str:
 
 def sum_of_products(pairs: Iterable[tuple[Expr, Expr]]) -> Expr:
     """Normal form of the sum of a*b over the pairs, accumulated in one map;
-    a pair with a zero factor forms no product."""
+    a pair with a zero factor forms no product, and a pair (Expr.one(), b)
+    adds the terms of b as they are."""
     acc: dict = {}
     for a, b in pairs:
-        _add_products(acc, a._map.items(), b._map)
+        if a is _ONE:
+            _add_terms(acc, b._map.items())
+        else:
+            _add_products(acc, a._map.items(), b._map)
     return Expr._from_map(acc)
 
 
+def _add_terms(acc: dict, terms) -> None:
+    """Add every term (m, c) into acc."""
+    for mono, c in terms:
+        prev = acc.get(mono)
+        acc[mono] = c if prev is None else prev + c
+
+
 def _add_products(acc: dict, terms, other: dict) -> None:
-    """Add c1*c2 * m1*m2 into acc for every term (m1, c1) and entry m2: c2 of other."""
+    """Add c1*c2 * m1*m2 into acc for every term (m1, c1) and entry m2: c2 of
+    other; the product of two monomials is one sort of their joined codes."""
     for m1, c1 in terms:
         for m2, c2 in other.items():
-            mono = _mono_mul(m1, m2)
+            mono = tuple(sorted(m1 + m2))
             prev = acc.get(mono)
             acc[mono] = c1 * c2 if prev is None else prev + c1 * c2
 
@@ -463,21 +461,16 @@ number = Expr.number
 
 
 def var(name: str) -> Expr:
-    return Expr.from_atom(("v", canonical_var(name)))
+    return Expr.from_atom(("v", name))
 
 
 def jet(*index: str) -> Expr:
     """Jet coordinate u_index; jet() is u itself."""
-    idx = _sorted_index(index)
-    if len(idx) > _MAX_JET_ORDER:
-        raise JetOrderError(f"jet order {len(idx)} exceeds cap {_MAX_JET_ORDER}")
-    return Expr.from_atom(("j", idx))
+    return Expr.from_atom(("j", index))
 
 
 def func_sym(name: str, index: Iterable[str] = ()) -> Expr:
-    if name not in FUNCTION_SYMBOLS:
-        raise UnknownSymbolError(f"unknown function symbol {name!r}")
-    return Expr.from_atom(("f", name, _sorted_index(tuple(index))))
+    return Expr.from_atom(("f", name, tuple(index)))
 
 
 def _func_laplacian(name: str, n: int) -> Expr:
@@ -494,14 +487,11 @@ def alpha() -> Expr:
 
 def frac_deriv(*spatial_index: str) -> Expr:
     """Fractional time derivative applied to u_spatial_index."""
-    idx = _sorted_index(spatial_index)
-    if any(v == "t" for v in idx):
-        raise ExprError("fractional-derivative marker carries spatial subscripts only")
-    return Expr.from_atom(("D", idx))
+    return Expr.from_atom(("D", spatial_index))
 
 
 def _resolve_atom(sym) -> tuple:
-    """Accept an atom tuple or a brace-free/printed atom name."""
+    """Accept an atom tuple or a brace-free/printed atom name; _code checks the atom."""
     if isinstance(sym, tuple):
         return sym
     name = str(sym).strip()
@@ -525,7 +515,7 @@ def _resolve_atom(sym) -> tuple:
         return ("j", ())
     if name in FUNCTION_SYMBOLS:
         return ("f", name, ())
-    return ("v", canonical_var(name))
+    return ("v", name)
 
 
 def _parse_index_string(body: str) -> tuple[str, ...]:
@@ -541,42 +531,48 @@ def _parse_index_string(body: str) -> tuple[str, ...]:
                 j += 1
         names.append(body[i:j])
         i = j
-    return _sorted_index(tuple(names))
+    return tuple(names)
 
 
 # ---------------------------------------------------------------------------
 # derivatives
 # ---------------------------------------------------------------------------
 
-def _derive(e: Expr, d_atom: Callable[[tuple], tuple | None]) -> Expr:
-    """Chain rule over the atoms of e, where d_atom(atom) is the derivative
-    of one atom: the atom it becomes, () when it is 1, or None when it is 0."""
+def _derive(e: Expr, d_code: Callable[[int], int | None]) -> Expr:
+    """Chain rule over the atoms of e, where d_code(code) is the derivative
+    of one atom: the code of the atom it becomes, 0 when it is 1, or None
+    when it is 0.  The k entries of a power x^k give k equal steps."""
     acc: dict = {}
+    d_codes = {code: d_code(code) for code in set().union(*e._map)}
     for mono, c in e._map.items():
-        for i, (atom, k) in enumerate(mono):
-            datom = d_atom(atom)
-            if datom is None:
+        for i, code in enumerate(mono):
+            new = d_codes[code]
+            if new is None:
                 continue
-            mono_out = _replace_power(mono, i, datom)
-            ck = c if k == 1 else c * k
-            prev = acc.get(mono_out)
-            acc[mono_out] = ck if prev is None else prev + ck
+            out = list(mono)
+            del out[i]
+            if new:
+                bisect.insort(out, new)
+            out = tuple(out)
+            prev = acc.get(out)
+            acc[out] = c if prev is None else prev + c
     return Expr._from_map(acc)
 
 
 def partial_derivative(e: Expr, sym) -> Expr:
     """d e / d sym treating every other atom as an independent symbol."""
-    target = _resolve_atom(sym)
-    return _derive(e, lambda atom: () if atom == target else None)
+    target = _code(_resolve_atom(sym))
+    return _derive(e, lambda code: 0 if code == target else None)
 
 
 @functools.cache
-def _atom_total_derivative(v: str, jets_chain: bool, atom: tuple) -> tuple | None:
-    """D_v of a single atom (see _derive).  Memoised like _atom_key (an
-    error is raised again on every call)."""
+def _atom_total_derivative(v: str, jets_chain: bool, code: int) -> int | None:
+    """D_v of a single atom, by code (see _derive).  Memoised like _code
+    (an error is raised again on every call)."""
+    atom = _atom(code)
     kind = atom[0]
     if kind == "v":
-        return () if atom[1] == v else None
+        return 0 if atom[1] == v else None
     if kind == "a" or (not jets_chain and kind in ("j", "D")):
         # alpha is constant; on point space u, its jets and fractional
         # markers are unrelated coordinates, constant in (t, x)
@@ -584,11 +580,7 @@ def _atom_total_derivative(v: str, jets_chain: bool, atom: tuple) -> tuple | Non
     if kind == "D" and v == "t":
         raise ExprError("time total-derivative of a fractional marker is not defined here")
     # a jet, function-symbol or fractional atom carries its index last
-    new = atom[:-1] + (_sorted_index(atom[-1] + (v,)),)
-    if len(new[-1]) > _MAX_JET_ORDER:
-        raise JetOrderError(
-            f"total derivative exceeds jet-order cap {_MAX_JET_ORDER}: {atom_name(new)}")
-    return new
+    return _code(atom[:-1] + (_sorted_index(atom[-1] + (v,)),))
 
 
 def total_derivative(e: Expr, v: str) -> Expr:
@@ -612,62 +604,53 @@ def _multiset_diff(big: tuple, small: tuple) -> tuple | None:
     return tuple(sorted((big - small).elements(), key=var_rank)) if small <= big else None
 
 
-def _rule_base(atom: tuple, rules: dict) -> tuple | None:
-    """Base rule atom that `atom` derives from (same family, contained index)."""
-    candidates = []
-    for base in rules:
-        if base[0] != atom[0]:
-            continue
-        if base[0] == "f" and base[1] != atom[1]:
-            continue
-        a_idx = atom[1] if atom[0] in ("j", "D") else atom[2]
-        b_idx = base[1] if base[0] in ("j", "D") else base[2]
-        if _multiset_diff(a_idx, b_idx) is not None:
-            candidates.append(base)
-    # prefer the deepest base (largest index) for a deterministic choice
-    return max(candidates, key=_atom_key, default=None)
+def _rule_base(atom: tuple, rules: dict) -> int | None:
+    """Code of the base rule atom that `atom` derives from (same family,
+    contained index; a rule atom carries its index last).  The deepest base
+    (largest code, so largest index) wins, for a deterministic choice."""
+    return max((code for code in rules if _atom(code)[:-1] == atom[:-1]
+                and _multiset_diff(atom[-1], _atom(code)[-1]) is not None), default=None)
 
 
 class _CompiledRules:
     """A rule set resolved once: atom heads, and each atom's fully reduced
-    replacement (derived through total derivatives) on first use."""
+    replacement (derived through total derivatives) on first use, by code."""
 
     def __init__(self, rules: tuple):
-        self.base_rules: dict[tuple, Expr] = {}
+        self.base_rules: dict[int, Expr] = {}
         for key, rhs in rules:
-            atom = _resolve_atom(key)
-            if atom[0] not in ("j", "f", "D"):
-                raise SubstitutionError(f"cannot substitute for atom {atom_name(atom)}")
-            self.base_rules[atom] = rhs if isinstance(rhs, Expr) else Expr.number(rhs)
-        self._replacements: dict[tuple, Expr | None] = {}
-        self._chain: set[tuple] = set()
+            code = _code(_resolve_atom(key))
+            if _atom(code)[0] not in ("j", "f", "D"):
+                raise SubstitutionError(f"cannot substitute for atom {atom_name(_atom(code))}")
+            self.base_rules[code] = rhs if isinstance(rhs, Expr) else Expr.number(rhs)
+        self._replacements: dict[int, Expr | None] = {}
+        self._chain: set[int] = set()
 
-    def replacement(self, atom: tuple) -> Expr | None:
+    def replacement(self, code: int) -> Expr | None:
         """The atom's base rule extended by total derivatives and reduced
         with the same memo, or None when no rule reaches the atom.  A chain
         that returns to an atom or outgrows the jet-order cap raises
         SubstitutionError, and is not cached."""
-        if atom in self._replacements:
-            return self._replacements[atom]
+        if code in self._replacements:
+            return self._replacements[code]
+        atom = _atom(code)
         base = _rule_base(atom, self.base_rules)
         if base is None:
-            self._replacements[atom] = None
+            self._replacements[code] = None
             return None
-        if atom in self._chain:
+        if code in self._chain:
             raise SubstitutionError(f"cycle in substitution rules at {atom_name(atom)}")
-        a_idx = atom[1] if atom[0] in ("j", "D") else atom[2]
-        b_idx = base[1] if base[0] in ("j", "D") else base[2]
-        self._chain.add(atom)
+        self._chain.add(code)
         try:
             out = self.base_rules[base]
-            for v in _multiset_diff(a_idx, b_idx):
+            for v in _multiset_diff(atom[-1], _atom(base)[-1]):
                 out = total_derivative(out, v)
             out = self.reduce(out)
         except JetOrderError as exc:
             raise SubstitutionError(f"{atom_name(atom)}: reduction exceeds jet order cap") from exc
         finally:
-            self._chain.discard(atom)
-        self._replacements[atom] = out
+            self._chain.discard(code)
+        self._replacements[code] = out
         return out
 
     def reduce(self, e: Expr) -> Expr:
@@ -676,12 +659,12 @@ class _CompiledRules:
         for mono, c in e._map.items():
             plain: list = []
             factor = None
-            for atom, k in mono:
-                rep = self.replacement(atom)
+            for code in mono:
+                rep = self.replacement(code)
                 if rep is None:
-                    plain.append((atom, k))
-                    continue
-                factor = rep ** k if factor is None else factor * rep ** k
+                    plain.append(code)
+                else:
+                    factor = rep if factor is None else factor * rep
             if factor is None:
                 prev = acc.get(mono)
                 acc[mono] = c if prev is None else prev + c
@@ -724,7 +707,8 @@ def eval_numeric(e: Expr, binding: Mapping, alpha_value: float | None = None):
     """
     if alpha_value is not None and not (0.0 < alpha_value <= 1.0):
         raise EvaluationError(f"alpha_value must lie in (0, 1]: {alpha_value}")
-    values = {_resolve_atom(k): v if hasattr(v, "shape") else float(v) for k, v in binding.items()}
+    values = {_atom(_code(_resolve_atom(k))): v if hasattr(v, "shape") else float(v)
+              for k, v in binding.items()}
     values[("a",)] = alpha_value
     total = 0.0
     for mono, c in e.terms:

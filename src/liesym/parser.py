@@ -9,13 +9,16 @@ The printer in :mod:`liesym.expr` emits exactly this grammar, so
     power := atom ('^' INTEGER)?
     atom  := INTEGER | coordinate | '(' expr ')'
 
-Exponents are non-negative integers, and a divisor must be a nonzero rational.
+Exponents are integers from 0 to 1000 (a larger one is a ParseError at the
+exponent), and a divisor must be a nonzero rational.
 
 Coordinates: the variables t x y z w x5 x6 ... (x1..x4 alias x y z w), the
 dependent variable u, alpha, the function symbols phi and F, and derivative
 subscripts u_t, u_{xy}, phi_x, F_{tt} (braces required when the subscript
-spans more than one character).  Dalpha[u_..] denotes the fractional time
-derivative of a jet coordinate, as used by fractional conserved vectors.
+spans more than one character), of order at most 4.  Dalpha[u_..] denotes
+the fractional time derivative of a jet coordinate with spatial subscripts
+only, as used by fractional conserved vectors.  A coordinate that breaks
+these rules is a ParseError at its token.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Mapping
 
-from .expr import Expr, ExprError, ParseError, UnknownSymbolError, _resolve_atom
+from .expr import Expr, ExprError, ParseError, _resolve_atom
 
 __all__ = ["parse"]
 
@@ -47,9 +50,9 @@ class _Lexer:
             if ch.isspace():
                 pos += 1
                 continue
-            if ch.isdigit():
+            if ch.isdecimal():
                 j = pos
-                while j < n and text[j].isdigit():
+                while j < n and text[j].isdecimal():
                     j += 1
                 self.tokens.append(("num", text[pos:j], pos))
                 pos = j
@@ -151,14 +154,18 @@ class _Parser:
         base = self.atom()
         if self.lex.peek()[0] == "^":
             self.lex.next()
-            return base ** int(self.lex.expect("num")[1])
+            tok = self.lex.expect("num")
+            try:
+                return base ** _integer(tok)
+            except ExprError as err:
+                raise ParseError(str(err), tok[2]) from None
         return base
 
     def atom(self) -> Expr:
         tok = self.lex.next()
         kind, value, pos = tok
         if kind == "num":
-            return Expr.number(int(value))
+            return Expr.number(_integer(tok))
         if kind == "(":
             e = self.expr()
             self.lex.expect(")")
@@ -177,8 +184,15 @@ class _Parser:
             return self.symbols[name]
         try:
             return _coordinate_expr(name)
-        except UnknownSymbolError as err:
+        except ExprError as err:
             raise ParseError(str(err), pos) from None
+
+
+def _integer(tok: tuple[str, str, int]) -> int:
+    try:
+        return int(tok[1])
+    except ValueError as err:  # more digits than int() converts from a string
+        raise ParseError(str(err), tok[2]) from None
 
 
 @lru_cache(maxsize=512)

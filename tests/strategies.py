@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 
-from liesym.expr import Expr, _pair_key, alpha, func_sym, jet, spatial_names, var
+from liesym.expr import Expr, _code, alpha, func_sym, jet, spatial_names, var
 from liesym.fields import VectorField
 
 # atoms keep the jet order <= 2 so that two more total derivatives stay
@@ -36,11 +36,12 @@ def jet_polynomials(draw, atoms=_ATOMS_1D, max_terms=4, max_factors=3):
 
 @st.composite
 def monomials(draw, max_atoms=4):
-    """Random monomial in normal form over the default 1D atoms: distinct
-    atoms sorted by pair key, exponents in 1..3."""
+    """Random monomial in normal form over the default 1D atoms: the sorted
+    codes of up to max_atoms distinct atoms, each repeated 1..3 times (its
+    exponent)."""
     powers = draw(st.dictionaries(st.sampled_from(_ATOM_TUPLES), st.integers(1, 3),
                                   max_size=max_atoms))
-    return tuple(sorted(powers.items(), key=_pair_key))
+    return tuple(sorted(_code(atom) for atom, k in powers.items() for _ in range(k)))
 
 
 @st.composite

@@ -376,8 +376,12 @@ class TestVerify:
             if g.name != "B1":
                 return original(g, eq, attach_diff)
             w = characteristic_expr(g.field)
+            (mono, c), *_ = w.terms
+            first = Expr.number(c)
+            for atom, k in mono:
+                first = first * Expr.from_atom(atom) ** k
             zero = Expr.zero()
-            field = VectorField("B1", eq.n, zero, (zero,) * eq.n, Expr(dict(w.terms[1:])))
+            field = VectorField("B1", eq.n, zero, (zero,) * eq.n, w - first)
             return original(field, eq, attach_diff)
 
         monkeypatch.setattr(cli, "conserved_vector", dropped)

@@ -1,5 +1,6 @@
 """Kernel tests: parsing, normal form, derivatives, substitution, evaluation."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -82,6 +83,37 @@ class TestParse:
             var("x") / var("y")
         with pytest.raises(ZeroDivisionError, match="division by zero"):
             var("x") / 0
+
+    def test_atoms_pass_the_constructor_checks(self):
+        # the parser builds atoms through the same check as jet(), func_sym()
+        # and frac_deriv(): the jet-order cap and spatial-only fractional markers
+        for text in ("u_{xxxxx}", "phi_{ttttt}", "F_{xxxxxx}", "Dalpha[u_t]"):
+            with pytest.raises(ParseError) as err:
+                parse("t + " + text)
+            assert err.value.pos == 4
+        with pytest.raises(JetOrderError):
+            jet("x", "x", "x", "x", "x")
+        with pytest.raises(JetOrderError):
+            func_sym("F", ("t",) * 5)
+        with pytest.raises(ExprError):
+            expr.frac_deriv("t")
+        assert parse("u_{xxxx} + phi_{tttt} + Dalpha[u_{xxyy}]") == (
+            jet(*"xxxx") + func_sym("phi", "tttt") + expr.frac_deriv(*"xxyy"))
+
+    def test_exponent_cap(self):
+        with pytest.raises(ParseError) as err:
+            parse("x^99999999999")
+        assert err.value.pos == 2 and "0..1000" in str(err.value)
+        with pytest.raises(ExprError, match="0..1000"):
+            var("x") ** 1001
+        assert str(parse("x^1000")) == "x^1000"
+        assert (var("x") + 1) ** 0 == Expr.one()
+        # integers past what int() reads from a string, and digits int() does
+        # not read at all, are parse errors too
+        for text, pos in (("x^" + "9" * 5000, 2), ("9" * 5000, 0), ("x²", 0), ("²", 0)):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert err.value.pos == pos
 
     def test_extra_symbols_table(self):
         w = parse("-u_x")
@@ -371,6 +403,26 @@ def test_integral_numbers_are_stored_as_int():
 
 
 @settings(max_examples=80, deadline=None)
+@given(jet_polynomials(max_terms=3), st.integers(0, 7))
+def test_power_by_squaring_equals_the_repeated_product(e, k):
+    want = Expr.one()
+    for _ in range(k):
+        want = want * e
+    assert e ** k == want
+
+
+def test_unscaled_terms_form_no_product(monkeypatch):
+    e, f, t = parse("t*u_x - 2*x*u + 3"), parse("u_x*x"), var("t")
+    want = e + parse("t*x*u_x")
+    calls = []
+    real = expr._add_products
+    monkeypatch.setattr(expr, "_add_products", lambda *args: calls.append(args) or real(*args))
+    assert expr.sum_of_products(((Expr.one(), e), (Expr.one(), -e))) == Expr.zero()
+    assert expr.sum_of_products(((Expr.one(), e), (t, f))) == want
+    assert len(calls) == 1  # the products of t and f only
+
+
+@settings(max_examples=80, deadline=None)
 @given(jet_polynomials(), jet_polynomials())
 def test_total_derivative_linear(e1, e2):
     a, b = Fraction(3, 2), Fraction(-2)
@@ -513,8 +565,11 @@ def test_certificates_never_sort_terms(monkeypatch):
     first = gens[0].field
     bad = VectorField("perturbed", 5, first.xi0, first.xi, first.eta + parse("u^2"))
     calls = []
+    terms = expr.Expr.terms.fget
+    # every read of the sorted terms, computed or cached, and every sort key
+    monkeypatch.setattr(expr.Expr, "terms", property(lambda e: calls.append(e) or terms(e)))
     sort_key = expr._term_key
-    monkeypatch.setattr(expr, "_term_key", lambda term: calls.append(term) or sort_key(term))
+    monkeypatch.setattr(expr, "_term_key", lambda mono: calls.append(mono) or sort_key(mono))
     assert all(determining_residual(g.field, eq).is_zero for g in gens)
     assert all(divergence_onshell_symbolic(cv, eq).is_zero for cv in cvs)
     residual = determining_residual(bad, eq)
@@ -522,58 +577,124 @@ def test_certificates_never_sort_terms(monkeypatch):
     assert str(residual) and calls  # printing reads the sorted terms
 
 
-# -- the kernel's merge, bisection and one-map reduction against references --
+# -- packed monomials and the one-map reduction against references ----------
+
+_KIND_RANK = {"v": 0, "j": 1, "f": 2, "D": 3, "a": 4}
+
+
+def _atom_key(atom):
+    """The atom order written out: kind, function name, index length, then
+    the variable ranks in turn (a variable is ranked by itself)."""
+    kind = atom[0]
+    if kind == "v":
+        return (0, "", (expr.var_rank(atom[1]),))
+    if kind == "a":
+        return (4, "", ())
+    name, idx = (atom[1], atom[2]) if kind == "f" else ("", atom[1])
+    return (_KIND_RANK[kind], name, (len(idx),) + tuple(map(expr.var_rank, idx)))
+
+
+def _pairs(mono):
+    """The (atom, exponent) pairs of a monomial of codes, sorted by _atom_key."""
+    powers = {}
+    for code in mono:
+        atom = expr._atom(code)
+        powers[atom] = powers.get(atom, 0) + 1
+    return tuple(sorted(powers.items(), key=lambda pair: _atom_key(pair[0])))
+
+
+def _encode(pairs):
+    """The monomial of codes of sorted (atom, exponent) pairs."""
+    return tuple(expr._code(atom) for atom, k in pairs for _ in range(k))
+
 
 def _mono_mul_by_sorting(m1, m2):
-    """The product as a dict of powers sorted by pair key: the reference."""
-    powers = dict(m1)
-    for atom, e in m2:
+    """The product as a dict of powers sorted by _atom_key: the reference."""
+    powers = dict(_pairs(m1))
+    for atom, e in _pairs(m2):
         powers[atom] = powers.get(atom, 0) + e
-    return tuple(sorted(powers.items(), key=expr._pair_key))
+    return _encode(sorted(powers.items(), key=lambda pair: _atom_key(pair[0])))
 
 
-def _replace_power_by_scan(mono, i, new):
-    """The derivative step with the insertion point found by a linear scan."""
-    atom, k = mono[i]
-    out = list(mono)
-    out[i:i + 1] = [(atom, k - 1)] if k != 1 else []
+def _replace_power_by_scan(mono, atom, new):
+    """One power of atom replaced by one of new (or dropped when new is ()),
+    with the insertion point found by a linear scan over the sorted pairs."""
+    out = [[a, k] for a, k in _pairs(mono)]
+    i = next(j for j, (a, _) in enumerate(out) if a == atom)
+    out[i][1] -= 1
+    if not out[i][1]:
+        del out[i]
     if new:
         j = 0
-        while j < len(out) and expr._atom_key(out[j][0]) < expr._atom_key(new):
+        while j < len(out) and _atom_key(out[j][0]) < _atom_key(new):
             j += 1
         if j < len(out) and out[j][0] == new:
-            out[j] = (new, out[j][1] + 1)
+            out[j][1] += 1
         else:
-            out.insert(j, (new, 1))
-    return tuple(out)
+            out.insert(j, [new, 1])
+    return _encode(out)
 
 
 @settings(max_examples=300, deadline=None)
 @given(monomials(), monomials())
 def test_mono_mul_equals_the_sorted_reference(m1, m2):
     for a, b in ((m1, m2), (m2, m1)):
-        assert expr._mono_mul(a, b) == _mono_mul_by_sorting(a, b)
+        assert (Expr({a: 1}) * Expr({b: 1}))._map == {_mono_mul_by_sorting(a, b): 1}
 
 
 @settings(max_examples=300, deadline=None)
 @given(monomials(), st.data())
-def test_replace_power_equals_the_linear_scan(mono, data):
+def test_derivative_step_equals_the_linear_scan(mono, data):
     if not mono:
         return
-    i = data.draw(st.integers(0, len(mono) - 1))
+    atom = expr._atom(data.draw(st.sampled_from(mono)))
     new = data.draw(st.sampled_from(((), *_ATOM_TUPLES)))
-    assert expr._replace_power(mono, i, new) == _replace_power_by_scan(mono, i, new)
+    target, new_code = expr._code(atom), expr._code(new) if new else 0
+    got = expr._derive(Expr({mono: 1}), lambda code: new_code if code == target else None)
+    # the k equal codes of atom**k each take one step: k times the same monomial
+    assert got._map == {_replace_power_by_scan(mono, atom, new): mono.count(target)}
 
 
-def test_mono_mul_reads_no_pair_key(monkeypatch):
+def test_mono_mul_decodes_no_atom(monkeypatch):
     monos = [m for e in (parse("t*u_x*phi^2"), parse("x^2*u + alpha*u_t"), parse("u*u_x*t"))
              for m in e._map]
-    want = [_mono_mul_by_sorting(a, b) for a in monos for b in monos]
+    want = [{_mono_mul_by_sorting(a, b): 1} for a in monos for b in monos]
     calls = []
-    pair_key = expr._pair_key
-    monkeypatch.setattr(expr, "_pair_key", lambda pair: calls.append(pair) or pair_key(pair))
-    assert [expr._mono_mul(a, b) for a in monos for b in monos] == want
+    for name in ("_atom", "_code", "_term_key"):
+        real = getattr(expr, name)
+        monkeypatch.setattr(expr, name, lambda arg, real=real: calls.append(arg) or real(arg))
+    assert [(Expr({a: 1}) * Expr({b: 1}))._map for a in monos for b in monos] == want
     assert calls == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(jet_polynomials())
+def test_terms_and_printers_equal_the_atom_key_reference(e):
+    # the terms in (atom key, exponent) order, from the decoded codes
+    want = tuple(sorted(((_pairs(m), c) for m, c in e._map.items()),
+                        key=lambda t: [(_atom_key(a), k) for a, k in t[0]]))
+    assert e.terms == want
+    ref = Expr(dict(e._map))
+    ref._terms = want
+    assert str(e) == str(ref)
+    assert to_latex(e) == to_latex(ref)
+
+
+def test_codes_order_like_atom_keys():
+    # names in rank order, so combinations_with_replacement gives sorted
+    # indices of every order up to the cap of 4
+    names = ("t", "x", "y", "z", "w", "x5", "x999", "x1000", "x1001", f"x{2**20 - 1}")
+    idxs = [i for r in range(5) for i in itertools.combinations_with_replacement(names, r)]
+    atoms = [("v", a) for a in names] + [("a",)] + [("j", i) for i in idxs]
+    atoms += [("f", f, i) for f in ("phi", "F") for i in idxs]
+    atoms += [("D", i) for i in idxs if "t" not in i]
+    codes = {expr._code(a): a for a in atoms}
+    assert len(codes) == len(atoms)
+    assert all(expr._atom(c) == a for c, a in codes.items())
+    assert [codes[c] for c in sorted(codes)] == sorted(atoms, key=_atom_key)
+    with pytest.raises(UnknownSymbolError, match="past x1048575"):
+        var(f"x{2**20}")
+    assert var("x05") == var("x5")  # one code per variable, so one name
 
 
 _SHELL_1D = {"u_t": parse("u_{xx} + x*u_x"), "phi_t": parse("-phi_{xx}")}
@@ -584,15 +705,15 @@ def _reduce_by_products(rules, e):
     product of its replacements): the reference for the one-map reduce."""
     compiled = expr._compile_rules(tuple(rules.items()))
     products = []
-    for mono, c in e._map.items():
-        plain, factor = [], Expr.one()
+    for mono, c in e.terms:
+        plain, factor = Expr.number(c), Expr.one()
         for atom, k in mono:
-            rep = compiled.replacement(atom)
+            rep = compiled.replacement(expr._code(atom))
             if rep is None:
-                plain.append((atom, k))
+                plain = plain * Expr.from_atom(atom) ** k
             else:
                 factor = factor * rep ** k
-        products.append((Expr({tuple(plain): c}), factor))
+        products.append((plain, factor))
     return expr.sum_of_products(products)
 
 

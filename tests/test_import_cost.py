@@ -16,7 +16,7 @@ PINNED = ROOT / "tests" / "data" / "import_modules.txt"
 # the kernel's memos on the finite alphabet and the parser's atom memo
 KERNEL_MEMOS = {
     "liesym.expr.canonical_var", "liesym.expr._sorted_index", "liesym.expr.spatial_names",
-    "liesym.expr._atom_key", "liesym.expr._pair_key", "liesym.expr._atom_total_derivative",
+    "liesym.expr._code", "liesym.expr._atom", "liesym.expr._atom_total_derivative",
     "liesym.parser._coordinate_expr",
 }
 
