@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .catalog import HeatEquation, generators
-from .expr import Expr, equals_zero
-from .fields import commutator_table
+from .expr import Expr, ExprError
+from .fields import CommutatorTable, _combo, commutator_table
 from .parser import parse
-from .reference_tables import BRACKET_TABLES, CONSERVED_TABLES
+from .reference_tables import BRACKET_TABLES, CONSERVED_TABLES, BracketEntry
 
 __all__ = [
     "BracketAuditRecord",
@@ -25,44 +25,33 @@ __all__ = [
     "conserved_vector_diff",
 ]
 
-_NAME_RE = re.compile(r"^(.*?)\*?([GX]\d+)$")
+# one term [+|-][coefficient*]name; the coefficient holds no sign and no
+# parenthesis, so a term ends at the next sign
+_TERM_RE = re.compile(r"([+-]?)(?:([^-+()]+)\*)?([GX]\d+)(?=[-+]|$)")
 
 
 def parse_name_combo(text: str) -> dict[str, Expr]:
     """Parse a linear combination of generator names ("-4*G29+G27",
-    "2*alpha*G01", "0") into {name: coefficient}."""
+    "2*alpha*G01", "0") into {name: coefficient}: a sum of terms
+    [+|-][coefficient*]name, every term after the first signed.  ValueError
+    on anything else, such as a parenthesized coefficient."""
     text = text.replace(" ", "")
-    if text in ("0", ""):
+    if text == "0":
         return {}
-    terms: list[str] = []
-    depth = 0
-    start = 0
-    for k, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and depth == 0 and k > start:
-            terms.append(text[start:k])
-            start = k
-    terms.append(text[start:])
     combo: dict[str, Expr] = {}
-    for term in terms:
-        m = _NAME_RE.match(term)
-        if m is None:
-            raise ValueError(f"cannot read generator combination term {term!r}")
-        prefix, name = m.groups()
-        sign = Expr.one()
-        if prefix.startswith("+"):
-            prefix = prefix[1:]
-        elif prefix.startswith("-"):
-            sign, prefix = -Expr.one(), prefix[1:]
-        if prefix in ("",):
-            coeff = sign
-        else:
-            coeff = sign * parse(prefix.rstrip("*"))
-        combo[name] = combo.get(name, Expr.zero()) + coeff
-    return {k: v for k, v in combo.items() if not v.is_zero}
+    pos = 0
+    while pos < len(text):
+        m = _TERM_RE.match(text, pos)
+        if m is None or (pos and not m[1]):
+            raise ValueError(f"cannot read generator combination {text!r} at {text[pos:]!r}")
+        sign, coeff, name = m.groups()
+        try:
+            c = parse(coeff) if coeff else Expr.one()
+        except ExprError as exc:
+            raise ValueError(f"cannot read coefficient {coeff!r} in {text!r}: {exc}") from exc
+        combo[name] = combo.get(name, Expr.zero()) + (-c if sign == "-" else c)
+        pos = m.end()
+    return {k: v for k, v in combo.items() if v}
 
 
 @dataclass(frozen=True)
@@ -79,25 +68,26 @@ class BracketAuditRecord:
         return (self.i, self.j, self.printed, self.computed)
 
 
-def _combo_str(coeffs: dict[str, Expr]) -> str:
-    if not coeffs:
-        return "0"
-    parts = []
-    for name in sorted(coeffs):
-        c = str(coeffs[name])
-        if c == "1":
-            parts.append(f"+{name}")
-        elif c == "-1":
-            parts.append(f"-{name}")
-        else:
-            sign = "+"
-            if c.startswith("-") and ("+" not in c[1:] and " - " not in c):
-                sign, c = "-", c[1:]
-            if "+" in c or " - " in c:
-                c = "(" + c + ")"
-            parts.append(f"{sign}{c}*{name}")
-    out = "".join(parts)
-    return out[1:] if out.startswith("+") else out
+def _audit_entry(entry: BracketEntry, table: CommutatorTable,
+                 names: set[str]) -> tuple[str | None, str, str]:
+    """(printed, computed, verdict) of one printed bracket entry."""
+    try:
+        dec = table.bracket(entry.i, entry.j)
+    except KeyError:
+        return entry.rhs, "", "unknown-name"
+    computed = _combo(sorted(dec.coeffs.items()))
+    if entry.infinite:
+        ok = not dec.in_span and dec.infinite_family
+        return None, "(infinite family)" if ok else computed, "match" if ok else "mismatch"
+    if not dec.in_span:
+        return entry.rhs, "(outside span)", "mismatch"
+    try:
+        printed = parse_name_combo(entry.rhs)
+    except ValueError:
+        return entry.rhs, computed, "unknown-name"
+    if not names.issuperset(printed):
+        return entry.rhs, computed, "unknown-name"
+    return entry.rhs, computed, "match" if printed == dec.coeffs else "mismatch"
 
 
 def bracket_table_audit(eq: HeatEquation) -> list[BracketAuditRecord]:
@@ -108,43 +98,8 @@ def bracket_table_audit(eq: HeatEquation) -> list[BracketAuditRecord]:
         return []
     table = commutator_table([g.field for g in generators(eq)])
     names = {b.name for b in table.basis}
-    records = []
-    for entry in printed_table:
-        try:
-            dec = table.bracket(entry.i, entry.j)
-        except KeyError:
-            records.append(BracketAuditRecord(
-                entry.i, entry.j, entry.rhs, "", "unknown-name", entry.note))
-            continue
-        if entry.infinite:
-            ok = (not dec.in_span) and dec.infinite_family
-            records.append(BracketAuditRecord(
-                entry.i, entry.j, None,
-                "(infinite family)" if ok else _combo_str(dec.coeffs or {}),
-                "match" if ok else "mismatch", entry.note))
-            continue
-        computed = dec.coeffs if dec.in_span else None
-        if computed is None:
-            records.append(BracketAuditRecord(
-                entry.i, entry.j, entry.rhs, "(outside span)", "mismatch", entry.note))
-            continue
-        try:
-            printed = parse_name_combo(entry.rhs)
-        except ValueError:
-            records.append(BracketAuditRecord(
-                entry.i, entry.j, entry.rhs, _combo_str(computed), "unknown-name", entry.note))
-            continue
-        if any(name not in names for name in printed):
-            records.append(BracketAuditRecord(
-                entry.i, entry.j, entry.rhs, _combo_str(computed), "unknown-name", entry.note))
-            continue
-        same = set(printed) == set(computed) and all(
-            equals_zero(printed[k] - computed[k]) for k in printed
-        )
-        records.append(BracketAuditRecord(
-            entry.i, entry.j, entry.rhs, _combo_str(computed),
-            "match" if same else "mismatch", entry.note))
-    return records
+    return [BracketAuditRecord(e.i, e.j, *_audit_entry(e, table, names), e.note)
+            for e in printed_table]
 
 
 @lru_cache(maxsize=max(map(len, CONSERVED_TABLES.values())))

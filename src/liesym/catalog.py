@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .expr import Expr, spatial_names, frac_deriv, jet
-from .fields import VectorField, vf_add, vf_scale
+from .expr import Expr, _var_latex, frac_deriv, jet, spatial_names, to_latex
+from .fields import VectorField, _combo, _gamma_latex, vf_add, vf_scale
 from .parser import parse
 
 __all__ = [
@@ -329,25 +329,10 @@ def catalog_json_obj(eq: HeatEquation) -> dict:
 
 
 def catalog_latex(eq: HeatEquation) -> str:
-    from .expr import _var_latex, to_latex
-    from .fields import _gamma_latex
-
+    partials = [rf"\partial_{{{_var_latex(v)}}}" for v in ("t", *spatial_names(eq.n), "u")]
     lines = [r"\begin{eqnarray}"]
     for g in generators(eq):
-        parts = []
-        coords = ["t"] + list(spatial_names(eq.n)) + ["u"]
-        for coeff, vn in zip(g.field.components(), coords):
-            if coeff.is_zero:
-                continue
-            body = to_latex(coeff)
-            if body == "1":
-                body = ""
-            elif body == "-1":
-                body = "-"
-            elif any(op in body[1:] for op in "+-"):
-                body = "(" + body + ")" if not body.startswith("-") else "-(" + to_latex(-coeff) + ")"
-            parts.append(f"{body}\\partial_{{{_var_latex(vn)}}}")
-        rhs = "+".join(parts).replace("+-", "-") if parts else "0"
+        rhs = _combo(zip(partials, g.field.components()), to_latex, "")
         lines.append(rf"{_gamma_latex(g.name)} &=& {rhs},\nonumber\\")
     lines.append(r"\end{eqnarray}")
     return "\n".join(lines)

@@ -226,6 +226,8 @@ def divergence_numeric_fractional(
         raise GridError("cell touches t = 0; the lower terminal is singular")
     if not (t1 < t2 <= u.T + 1e-12):
         raise GridError("cell time range outside the grid")
+    if not x1 < x2:
+        raise GridError(f"cell x-edges must be increasing: x1={x1}, x2={x2}")
     dt, dx = u.dt, u.spatial_steps[0]
     xaxis = u.spatial_axis(0)
     it1, it2 = int(round(t1 / dt)), int(round(t2 / dt))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .expr import (
     Expr,
@@ -226,8 +226,12 @@ def _echelon(rows) -> dict[int, dict[int, Expr]]:
 @lru_cache(maxsize=64)
 def _reduced_basis(basis: tuple[VectorField, ...], f_degree: int) -> tuple[int, dict, dict]:
     """Echelon form (_echelon) of the vectors alpha^d * basis_k, d = 0..dmax,
-    where dmax = f_degree + (top alpha power of the basis) + 1 is a generous
-    cap on the degree of the coefficients of a field of alpha degree f_degree.
+    where dmax = f_degree + top*a, with top the highest alpha power in the
+    basis and a the number of basis fields that hold alpha.  By Cramer's rule
+    a polynomial coefficient of a field of alpha degree f_degree has degree
+    at most that: it is a quotient of minors whose numerator takes degree
+    f_degree from the field's column and at most top from each of the a
+    columns that hold alpha.
 
     The coordinates of the vectors are numbered in order of first appearance,
     giving columns 0..m-1, and vector u = k*(dmax+1)+d carries a unit entry in
@@ -237,8 +241,8 @@ def _reduced_basis(basis: tuple[VectorField, ...], f_degree: int) -> tuple[int, 
     as a pivot row at or past m.  Returns dmax, {coordinate: column} and
     {pivot: row}; the cached result is shared and must not be modified."""
     comps = [b.components() for b in basis]
-    top = max((key[2] for bc in comps for key in _coordinates(bc)), default=0)
-    dmax = f_degree + top + 1
+    degrees = [max((key[2] for key in _coordinates(bc)), default=0) for bc in comps]
+    dmax = f_degree + max(degrees) * sum(1 for d in degrees if d)
     vecs = [_coordinates(bc, d) for bc in comps for d in range(dmax + 1)]
     columns: dict[tuple, int] = {}
     for vec in vecs:
@@ -368,12 +372,13 @@ class CommutatorTable:
         lines = [r"\begin{tabular}{lll}"]
         cells = []
         for e in self.entries:
-            if e.decomposition.in_span and not e.decomposition.coeffs:
+            dec = e.decomposition
+            if dec.in_span and not dec.coeffs:
                 continue
             lhs = rf"$[{_gamma_latex(self.basis[e.i].name)},{_gamma_latex(self.basis[e.j].name)}]_{{LB}}"
-            if e.decomposition.in_span:
-                rhs = _combo_latex(e.decomposition.coeffs)
-            elif e.decomposition.infinite_family:
+            if dec.in_span:
+                rhs = _combo(((_gamma_latex(k), c) for k, c in sorted(dec.coeffs.items())), to_latex, "")
+            elif dec.infinite_family:
                 rhs = r"\text{(infinite family)}"
             else:
                 rhs = r"\text{(outside span)}"
@@ -390,24 +395,23 @@ def _gamma_latex(name: str) -> str:
     return rf"\mathrm{{{name}}}"
 
 
-def _combo_latex(coeffs: dict[str, Expr]) -> str:
-    if not coeffs:
-        return "0"
-    parts = []
-    for name, c in sorted(coeffs.items()):
-        cs = to_latex(c)
-        if cs == "1":
-            parts.append("+" + _gamma_latex(name))
-        elif cs == "-1":
-            parts.append("-" + _gamma_latex(name))
+def _combo(terms: Iterable[tuple[str, Expr]], render=str, join: str = "*") -> str:
+    """The sum of c*symbol over the (symbol, c) pairs with c nonzero, each
+    c rendered by render (str or to_latex) and joined to its symbol by join:
+    a unit coefficient as a bare sign, a sum in parentheses with its leading
+    sign outside them, "0" for no term."""
+    out = ""
+    for symbol, c in terms:
+        if not c:
+            continue
+        neg = c.terms[0][1] < 0
+        body = render(-c if neg else c)
+        if body == "1":
+            body = ""
         else:
-            if not (cs.startswith("+") or cs.startswith("-")):
-                cs = "+" + cs
-            if any(op in cs[1:] for op in "+-"):
-                cs = cs[0] + "(" + cs[1:] + ")"
-            parts.append(cs + _gamma_latex(name))
-    out = "".join(parts)
-    return out[1:] if out.startswith("+") else out
+            body = (f"({body})" if len(c.terms) > 1 else body) + join
+        out += ("-" if neg else "+") + body + symbol
+    return out.removeprefix("+") or "0"
 
 
 def commutator_table(basis: Sequence[VectorField]) -> CommutatorTable:

@@ -101,6 +101,8 @@ class GridFunction:
         """
         if K < 2:
             raise GridError("K must be >= 2")
+        if any(count < 2 for _s, _e, count in spatial):
+            raise GridError("each spatial axis needs at least 2 points")
         dt = T / K
         k0 = 1 if zero_at_origin else 0
         n = len(spatial)

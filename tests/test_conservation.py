@@ -298,6 +298,15 @@ class TestNumericFlux:
             divergence_numeric_fractional(cv, eqf, u, phi, (0.5001, 1.0, 0.0, 1.0), ALPHA,
                                           phi_t=lambda mu, xv: 0.0)
 
+    @pytest.mark.parametrize("cell", [(0.5, 1.0, 0.5, 0.5), (0.5, 1.0, 1.0, 0.0)])
+    def test_cell_without_increasing_x_edges_rejected(self, eqf, gf, cell):
+        # a zero-width cell has no boundary flux, so it would balance vacuously
+        cv = conserved_vector(gf["G03"], eqf, attach_diff=False)
+        u, phi = self._grids(lambda t, xs, a=None: 1.0, lambda t, xs, a=None: 1.0, 64)
+        with pytest.raises(GridError):
+            divergence_numeric_fractional(cv, eqf, u, phi, cell, ALPHA,
+                                          phi_t=lambda mu, xv: 0.0)
+
     def test_fractional_derivative_in_w_rejected(self, eqf):
         # the rows of a D_t^alpha atom are the cell's only, so W may not read one
         cv = ConservedVector("synthetic", 1, FRACTIONAL, parse("Dalpha[u]"), parse("0"),

@@ -107,6 +107,22 @@ class TestDecompose:
         assert dec.coeffs == {"G7": Expr.number(-1)}
 
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_translation_over_an_alpha_chain(self, n):
+        # B_i = d_i + alpha*d_(i+1), B_n = d_n: d_1 = sum_i (-alpha)^(i-1) B_i,
+        # coefficients of alpha degree n-1 from a basis of alpha degree 1
+        def field(name, xi):
+            return VectorField(name, n, Expr.zero(), tuple(xi), Expr.zero())
+
+        one, zero, a = Expr.one(), Expr.zero(), alpha()
+        chain = [field(f"B{i}", [one if k == i else a if k == i + 1 else zero
+                                 for k in range(1, n + 1)]) for i in range(1, n + 1)]
+        d_1 = field("d_1", [one] + [zero] * (n - 1))
+        assert decompose_in_basis(d_1, chain).coeffs == {
+            f"B{i}": (-a) ** (i - 1) for i in range(1, n + 1)}
+        assert not decompose_in_basis(d_1, chain[:-1]).in_span
+
+
 def _random_alpha_poly(rng):
     return sum(
         (Expr.number(Fraction(rng.randint(-5, 5), rng.randint(1, 4))) * parse(f"alpha^{d}")
@@ -372,6 +388,14 @@ class TestTable:
         table = commutator_table([g1["G3"], g1["G4"]])
         tex = table.to_latex()
         assert r"\Gamma_{3}" in tex and r"\begin{tabular}" in tex
+
+    def test_sum_coefficient_keeps_its_sign_outside_the_parentheses(self):
+        # [G2, G1] = (alpha - 1)*G1, written as -(1 - alpha) by both renderers
+        g1 = VectorField("G1", 1, Expr.zero(), (Expr.one(),), Expr.zero())
+        g2 = VectorField("G2", 1, Expr.zero(), (parse("(1 - alpha)*x"),), Expr.zero())
+        tex = commutator_table([g2, g1]).to_latex()
+        assert r"[\Gamma_{2},\Gamma_{1}]_{LB}=-(1-\alpha)\Gamma_{1}$" in tex
+        assert fields._combo([("G1", parse("alpha - 1"))]) == "-(1 - alpha)*G1"
 
     def test_duplicate_names_rejected(self, g1):
         with pytest.raises(ValueError):

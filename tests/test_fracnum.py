@@ -686,6 +686,11 @@ class TestArraySampling:
         with pytest.raises(UnsupportedFlowError):
             GridFunction.sample(back, 1.0, 16, ((-1.0, 1.0, 9),), zero_at_origin=True)
 
+    def test_spatial_axis_needs_two_points(self):
+        # one point has no step: (stop - start) / (count - 1) divides by zero
+        with pytest.raises(GridError):
+            GridFunction.sample(lambda t, xs: 1.0, 1.0, 16, ((0.0, 1.0, 1),))
+
 
 class TestInvariance:
     def test_identity_transformation(self):

@@ -31,6 +31,21 @@ def test_parse_name_combo():
     assert parse_name_combo("2*alpha*G01") == {"G01": 2 * __import__("liesym").parse("alpha")}
 
 
+@pytest.mark.parametrize("text", ["G1+", "(1-alpha)*G2", "G1G2", "2G1", "-", "2**G1"])
+def test_parse_name_combo_rejects_text_outside_the_term_grammar(text):
+    with pytest.raises(ValueError):
+        parse_name_combo(text)
+
+
+@pytest.mark.parametrize("n,regime", ALL_CASES)
+def test_every_printed_right_hand_side_follows_the_term_grammar(n, regime):
+    # a transcription outside [+|-][coefficient*]name would otherwise be
+    # audited as an unknown name instead of failing here
+    for entry in BRACKET_TABLES[(n, regime)]:
+        if entry.rhs is not None:
+            parse_name_combo(entry.rhs)
+
+
 @pytest.mark.parametrize("n,regime", ALL_CASES)
 def test_printed_entries_match_up_to_allow_list(n, regime):
     eq = HeatEquation(n, regime)
